@@ -33,16 +33,9 @@ def _check_dims(model, post, samples):
         )
 
 
-def _loglik_values(model, hyper, w_batch):
-    if isinstance(model, GaussianNoiseModel):
-        return model.log_lik_batch(w_batch, hyper.beta)
-    return model.log_lik_batch(w_batch)
-
-
-def _loglik_grads(model, hyper, w_batch):
-    if isinstance(model, GaussianNoiseModel):
-        return model.grad_log_lik_batch(w_batch, hyper.beta)
-    return model.grad_log_lik_batch(w_batch)
+def _noise_args(model, hyper):
+    """Extra likelihood arguments: beta for Gaussian-noise models, else none."""
+    return (hyper.beta,) if isinstance(model, GaussianNoiseModel) else ()
 
 
 def kl_gaussian_prior(post, alpha):
@@ -72,7 +65,7 @@ def lower_bound_fs(model, post, hyper, samples):
     """
     _check_dims(model, post, samples)
     w = post.transform(samples.draws)
-    mean_ll = float(np.mean(_loglik_values(model, hyper, w)))
+    mean_ll = float(np.mean(model.log_lik_batch(w, *_noise_args(model, hyper))))
     if model.prior == "flat":
         return mean_ll + gaussian_entropy(post)
     return mean_ll - kl_gaussian_prior(post, hyper.alpha)
@@ -88,7 +81,7 @@ def grad_mu(model, post, hyper, samples):
     """Gradient of the bound with respect to the posterior mean."""
     _check_dims(model, post, samples)
     w = post.transform(samples.draws)
-    g = np.mean(_loglik_grads(model, hyper, w), axis=0)
+    g = np.mean(model.grad_log_lik_batch(w, *_noise_args(model, hyper)), axis=0)
     if model.prior == "flat":
         return g
     return g - hyper.alpha * post.mu
@@ -104,7 +97,7 @@ def grad_L(model, post, hyper, samples):
     _check_dims(model, post, samples)
     z = samples.draws
     w = post.transform(z)
-    grads = _loglik_grads(model, hyper, w)
+    grads = model.grad_log_lik_batch(w, *_noise_args(model, hyper))
     cross = grads.T @ z / samples.size
     if model.prior == "flat":
         return cross + _factor_pinv_t(post.L)
@@ -154,10 +147,12 @@ def dbound_dbeta(model, post, samples, beta):
 
 
 def _value_and_grad_mu(model, post, hyper, samples):
-    """Bound value and mu-gradient sharing one pass over the draws."""
+    """Bound value and mu-gradient from one model pass over the draws.
+
+    Bitwise equal to (lower_bound_fs, grad_mu) at the same arguments.
+    """
     w = post.transform(samples.draws)
-    values = _loglik_values(model, hyper, w)
-    grads = _loglik_grads(model, hyper, w)
+    values, grads = model.log_lik_and_grad_batch(w, *_noise_args(model, hyper))
     mean_ll = float(np.mean(values))
     g = np.mean(grads, axis=0)
     if model.prior == "flat":
@@ -169,11 +164,13 @@ def _value_and_grad_mu(model, post, hyper, samples):
 
 
 def _value_and_grad_L(model, post, hyper, samples):
-    """Bound value and L-gradient sharing one pass over the draws."""
+    """Bound value and L-gradient from one model pass over the draws.
+
+    Bitwise equal to (lower_bound_fs, grad_L) at the same arguments.
+    """
     z = samples.draws
     w = post.transform(z)
-    values = _loglik_values(model, hyper, w)
-    grads = _loglik_grads(model, hyper, w)
+    values, grads = model.log_lik_and_grad_batch(w, *_noise_args(model, hyper))
     mean_ll = float(np.mean(values))
     cross = grads.T @ z / samples.size
     pinv_t = _factor_pinv_t(post.L)

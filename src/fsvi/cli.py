@@ -18,6 +18,7 @@ from .exceptions import (
     IndefiniteHessianError,
     InsufficientDataError,
     InvalidLabelError,
+    InvalidPosteriorError,
     InvalidStartError,
     NumericalFailureError,
     PosteriorIOError,
@@ -46,6 +47,7 @@ _NUMERICAL_ERRORS = (
     RankError,
     DegenerateFitError,
     DegeneratePosteriorError,
+    InvalidPosteriorError,
     InvalidStartError,
 )
 

@@ -7,6 +7,7 @@ import numpy as np
 from .exceptions import (
     ConfigError,
     CoverageError,
+    DataFormatError,
     DimensionError,
 )
 
@@ -164,6 +165,6 @@ def reconstruction_error(original, reconstructed):
         raise DimensionError(f"shapes {y.shape} and {r.shape} differ")
     denom = float(y @ y)
     if denom == 0.0:
-        raise ValueError("original vector has zero norm")
+        raise DataFormatError("original vector has zero norm")
     diff = y - r
     return float(diff @ diff) / denom

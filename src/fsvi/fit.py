@@ -142,16 +142,11 @@ def _optimise_factor(model, post, hyper, samples, iters, mask):
     return VariationalPosterior(post.mu, unpack(res.x))
 
 
-def _optimise_model_params(model, post, hyper, samples, iters):
+def _optimise_model_params(model, post, samples, iters):
     w = post.transform(samples.draws)
 
     def objective(theta):
-        cand = model.with_model_params(theta)
-        if isinstance(cand, GaussianNoiseModel):
-            values = cand.log_lik_batch(w, hyper.beta)
-        else:
-            values = cand.log_lik_batch(w)
-        return float(np.mean(values)), cand.grad_model_params_batch(w)
+        return model.with_model_params(theta).model_params_value_and_grad(w)
 
     res = scg_maximise(
         objective, model.model_params, max_iters=iters, grad_tol=_INNER_GRAD_TOL
@@ -223,9 +218,7 @@ def fit(model, config=None, seed=0):
                 alpha=hyper.alpha, beta=update_beta(model, post, samples)
             )
         if has_model_params:
-            model = _optimise_model_params(
-                model, post, hyper, samples, config.inner_iters
-            )
+            model = _optimise_model_params(model, post, samples, config.inner_iters)
 
         bound_new = lower_bound_fs(model, post, hyper, samples)
         bound_hold = lower_bound_fs(model, post, hyper, holdout)

@@ -44,6 +44,14 @@ class TargetModel(abc.ABC):
             [self.grad_log_lik(w) for w in np.asarray(w_batch, dtype=float)]
         )
 
+    def log_lik_and_grad_batch(self, w_batch):
+        """(values[S], grads[S, dim]) at the rows of w_batch in one call.
+
+        Bitwise equal to (log_lik_batch, grad_log_lik_batch). Models whose
+        value and gradient share work override this to do it once.
+        """
+        return self.log_lik_batch(w_batch), self.grad_log_lik_batch(w_batch)
+
     @property
     def posterior_blocks(self):
         """Block sizes of a factorised posterior, or None for a full factor.
@@ -64,6 +72,13 @@ class TargetModel(abc.ABC):
     def grad_model_params_batch(self, w_batch):
         """Gradient of the mean log-likelihood over w_batch w.r.t. model_params."""
         raise NotImplementedError(f"{type(self).__name__} has no model parameters")
+
+    def model_params_value_and_grad(self, w_batch):
+        """(mean log-likelihood over w_batch, its model_params gradient)."""
+        return (
+            float(np.mean(self.log_lik_batch(w_batch))),
+            self.grad_model_params_batch(w_batch),
+        )
 
     def predict(self, w, inputs):
         """Per-datum predictions at parameter vector w (model specific)."""
@@ -121,10 +136,16 @@ class GaussianNoiseModel(TargetModel):
         return beta * (self.jacobian(w).T @ self.residuals(w))
 
     def log_lik_batch(self, w_batch, beta):
-        sq = self.residual_sq_batch(w_batch)
+        return self._log_lik_of_sq(self.residual_sq_batch(w_batch), beta)
+
+    def _log_lik_of_sq(self, sq, beta):
+        """Log-likelihood from squared residual norms sq."""
         return 0.5 * self.n_obs * (np.log(beta) - _LN_2PI) - 0.5 * beta * sq
 
     def grad_log_lik_batch(self, w_batch, beta):
         return np.stack(
             [self.grad_log_lik(w, beta) for w in np.asarray(w_batch, dtype=float)]
         )
+
+    def log_lik_and_grad_batch(self, w_batch, beta):
+        return self.log_lik_batch(w_batch, beta), self.grad_log_lik_batch(w_batch, beta)

@@ -127,22 +127,57 @@ class CauchyPpcaModel(TargetModel):
         return cauchy_ppca_loglik(self._latents(w), self.params, self._y)[1].ravel()
 
     def _residual_stats(self, w_batch):
+        """Latents x, scaled residuals u = (y - x W^T - xi) / gamma, and 1 + u^2.
+
+        One pass over the (S, N, d) residual tensor, built in place.
+        """
         w = np.asarray(w_batch, dtype=float)
         x = w.reshape(w.shape[0], self.n_data, self.latent_dim)
-        r = self._y[None, :, :] - x @ self.params.loading.T - self.params.offset
-        u = r / self.params.scale
-        return x, u, 1.0 + u * u
+        u = x @ self.params.loading.T
+        np.subtract(self._y, u, out=u)
+        u -= self.params.offset
+        u /= self.params.scale
+        denom = u * u
+        denom += 1.0
+        return x, u, denom
+
+    # The helpers below consume the residual stats: `_values` overwrites
+    # denom with its logarithm and `_latent_grads` overwrites u with
+    # t = u / denom, so `_values` must run last.
+    def _values(self, denom):
+        const = -self._y.size * (np.log(np.pi) + np.log(self.params.scale))
+        return const - np.sum(np.log(denom, out=denom), axis=(1, 2))
+
+    def _latent_grads(self, u, denom):
+        t = np.divide(u, denom, out=u)
+        g = (2.0 / self.params.scale) * (t @ self.params.loading)
+        return g.reshape(u.shape[0], -1)
+
+    def _param_grads(self, x, u, denom):
+        s = x.shape[0]
+        gamma = self.params.scale
+        # d/d ln(gamma) = gamma * d/d gamma.
+        q = u * u
+        q -= 1.0
+        q /= denom
+        grad_rho = float(np.sum(q)) / s
+        t = np.divide(u, denom, out=u)
+        grad_w = (2.0 / gamma) * np.einsum("snd,snq->dq", t, x) / s
+        grad_xi = (2.0 / gamma) * t.sum(axis=(0, 1)) / s
+        return np.concatenate([grad_w.ravel(), grad_xi, [grad_rho]])
 
     def log_lik_batch(self, w_batch):
-        _, u, denom = self._residual_stats(w_batch)
-        const = -self._y.size * (np.log(np.pi) + np.log(self.params.scale))
-        return const - np.sum(np.log(denom), axis=(1, 2))
+        _, _, denom = self._residual_stats(w_batch)
+        return self._values(denom)
 
     def grad_log_lik_batch(self, w_batch):
         _, u, denom = self._residual_stats(w_batch)
-        t = u / denom
-        g = (2.0 / self.params.scale) * (t @ self.params.loading)
-        return g.reshape(w_batch.shape[0], -1)
+        return self._latent_grads(u, denom)
+
+    def log_lik_and_grad_batch(self, w_batch):
+        _, u, denom = self._residual_stats(w_batch)
+        grads = self._latent_grads(u, denom)
+        return self._values(denom), grads
 
     @property
     def model_params(self):
@@ -158,15 +193,12 @@ class CauchyPpcaModel(TargetModel):
         return CauchyPpcaModel(self._y, CauchyPpcaParams(loading, offset, scale))
 
     def grad_model_params_batch(self, w_batch):
+        return self._param_grads(*self._residual_stats(w_batch))
+
+    def model_params_value_and_grad(self, w_batch):
         x, u, denom = self._residual_stats(w_batch)
-        s = x.shape[0]
-        gamma = self.params.scale
-        t = u / denom
-        grad_w = (2.0 / gamma) * np.einsum("snd,snq->dq", t, x) / s
-        grad_xi = (2.0 / gamma) * t.sum(axis=(0, 1)) / s
-        # d/d ln(gamma) = gamma * d/d gamma.
-        grad_rho = float(np.sum((u * u - 1.0) / denom)) / s
-        return np.concatenate([grad_w.ravel(), grad_xi, [grad_rho]])
+        grad = self._param_grads(x, u, denom)
+        return float(np.mean(self._values(denom))), grad
 
     def reconstruct(self, latents):
         """Map latent coordinates back to data space."""

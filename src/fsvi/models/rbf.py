@@ -117,6 +117,11 @@ class RbfRegressionModel(GaussianNoiseModel):
         r = self._y - self.predict_outputs_batch(w_batch)
         return beta * (r @ self._phi)
 
+    def log_lik_and_grad_batch(self, w_batch, beta):
+        r = self._y - self.predict_outputs_batch(w_batch)
+        value = self._log_lik_of_sq(np.sum(r * r, axis=1), beta)
+        return value, beta * (r @ self._phi)
+
     def predict(self, w, inputs):
         return self.design.matrix(inputs) @ np.asarray(w, dtype=float)
 

@@ -81,14 +81,16 @@ class SkewTarget(TargetModel):
         return skew_logdensity(w, self.coeff)[1]
 
     def log_lik_batch(self, w_batch):
-        w = np.asarray(w_batch, dtype=float)
-        h, _ = _h_and_grad(w, self.coeff)
-        return np.log(2.0) - _LN_2PI - 0.5 * np.sum(w * w, axis=-1) + log_ndtr(h)
+        return self.log_lik_and_grad_batch(w_batch)[0]
 
     def grad_log_lik_batch(self, w_batch):
+        return self.log_lik_and_grad_batch(w_batch)[1]
+
+    def log_lik_and_grad_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
         h, dh = _h_and_grad(w, self.coeff)
-        return -w + _phi_over_cumnorm(h)[..., None] * dh
+        value = np.log(2.0) - _LN_2PI - 0.5 * np.sum(w * w, axis=-1) + log_ndtr(h)
+        return value, -w + _phi_over_cumnorm(h)[..., None] * dh
 
 
 class GaussianTarget(TargetModel):

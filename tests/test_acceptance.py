@@ -10,6 +10,7 @@ import pathlib
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import multivariate_normal
 
 from conftest import fd_grad, rel_err
@@ -210,6 +211,7 @@ def test_criterion_06_classification_parity(tmp_path, criterion_verdict):
     criterion_verdict(6, passed, "; ".join(parts))
 
 
+@pytest.mark.slow
 def test_criterion_07_robust_denoising(tmp_path, criterion_verdict):
     start = time.perf_counter()
     wins = 0
@@ -298,6 +300,7 @@ def test_criterion_09_optimiser_contract(criterion_verdict):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_nonlinear_regression_variance(criterion_verdict):
     start = time.perf_counter()
     result = spectrum_mse_benchmark(n_splits=10, seed=0)

@@ -25,6 +25,7 @@ from fsvi import (
     update_alpha,
     update_beta,
 )
+from fsvi.bound import _value_and_grad_L, _value_and_grad_mu
 from fsvi.exceptions import (
     DegenerateFitError,
     DegeneratePosteriorError,
@@ -267,6 +268,21 @@ def test_gradients_match_finite_differences():
         post.L.ravel(),
     ).reshape(m, m)
     assert rel_err(g_l, fd_l) < 1e-5, f"L gradient off by {rel_err(g_l, fd_l)}"
+
+
+def test_fused_bound_matches_public_bound_bitwise(model_zoo):
+    # The fit optimises the private fused twins; they must be the public bound.
+    rng = np.random.default_rng(19)
+    for name, model, hyper in model_zoo:
+        m = model.dim
+        post = random_posterior(rng, m, factor_scale=0.3)
+        samples = SampleSet.generate(6, m, seed=23)
+        value, g_mu = _value_and_grad_mu(model, post, hyper, samples)
+        assert value == lower_bound_fs(model, post, hyper, samples), name
+        assert np.array_equal(g_mu, grad_mu(model, post, hyper, samples)), name
+        value_l, g_l = _value_and_grad_L(model, post, hyper, samples)
+        assert value_l == value, name
+        assert np.array_equal(g_l, grad_L(model, post, hyper, samples)), name
 
 
 def test_reparameterised_draws_match_explicit_construction():

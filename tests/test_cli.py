@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fsvi.cli as cli
-from fsvi import load_posterior
+from fsvi import load_posterior, synth_image_data
 from fsvi.exceptions import NumericalFailureError
 from fsvi.io import atomic_write_text
 
@@ -113,6 +113,45 @@ def test_malformed_data_file_is_a_data_error(tmp_path, capsys):
     code, _, err = run_cli(blr_args(tmp_path, ["--data", str(bad)]), capsys)
     assert code == 3
     assert "non-numeric cell" in err
+
+
+def image_args(tmp_path, images):
+    path = tmp_path / "images.csv"
+    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in images)
+    atomic_write_text(str(path), rows + "\n")
+    return [
+        "--experiment",
+        "cauchy-ppca",
+        "--data",
+        str(path),
+        "--seed",
+        "0",
+        "--out",
+        str(tmp_path / "out"),
+        "--max-iter",
+        "1",
+    ]
+
+
+def test_zero_norm_clean_image_is_a_data_error(tmp_path, capsys):
+    images, _, _ = synth_image_data(20, 0, shape=(3, 3))
+    images[15] = 0.0  # a test image: its relative error is undefined
+    code, _, err = run_cli(image_args(tmp_path, images), capsys)
+    assert code == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "zero norm" in lines[0]
+
+
+def test_singular_start_factor_is_a_numerical_error(tmp_path, capsys):
+    # 160 training images with q=2 give M=320 latents; |det(0.1 I)| = 1e-320
+    # is below the posterior's determinant floor.
+    images, _, _ = synth_image_data(320, 0, shape=(3, 3))
+    code, _, err = run_cli(image_args(tmp_path, images), capsys)
+    assert code == 4
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "singular" in lines[0]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

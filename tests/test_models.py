@@ -70,6 +70,16 @@ def test_batch_gradients_match_stacked_single(model_zoo):
         )
 
 
+def test_fused_batch_matches_split_methods_bitwise(model_zoo):
+    rng = np.random.default_rng(5)
+    for name, model, hyper in model_zoo:
+        w = rng.standard_normal((7, model.dim))
+        noise = (hyper.beta,) if hyper.beta is not None else ()
+        values, grads = model.log_lik_and_grad_batch(w, *noise)
+        assert np.array_equal(values, model.log_lik_batch(w, *noise)), name
+        assert np.array_equal(grads, model.grad_log_lik_batch(w, *noise)), name
+
+
 def test_noise_model_jacobians_match_finite_differences(model_zoo):
     rng = np.random.default_rng(4)
     for name, model, hyper in model_zoo:
@@ -243,6 +253,26 @@ def test_cauchy_gradients_match_finite_differences():
         np.array([gamma]),
     )[0]
     assert abs(g_gamma - fd_gamma) / max(abs(fd_gamma), 1.0) < 1e-6
+
+
+def test_cauchy_batched_model_params_gradient():
+    # The draw-averaged, log-scale gradient the fit steps model parameters on.
+    rng = np.random.default_rng(13)
+    d, q, n, s = 5, 2, 4, 6
+    params = CauchyPpcaParams(rng.standard_normal((d, q)), rng.standard_normal(d), 0.7)
+    model = CauchyPpcaModel(rng.standard_normal((n, d)), params)
+    w = rng.standard_normal((s, n * q))
+
+    value, grad = model.model_params_value_and_grad(w)
+    assert value == float(np.mean(model.log_lik_batch(w)))
+    assert np.array_equal(grad, model.grad_model_params_batch(w))
+
+    fd = fd_grad(
+        lambda theta: model.with_model_params(theta).model_params_value_and_grad(w)[0],
+        model.model_params,
+    )
+    err = rel_err(grad, fd)
+    assert err < 1e-6, f"model-parameter gradient off by {err}"
 
 
 def test_cauchy_model_params_round_trip():
