@@ -6,11 +6,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import (
+    ConfigError,
     DimensionError,
     IndefiniteHessianError,
     RankError,
 )
-from .models.base import GaussianNoiseModel, _LN_2PI
+from .models.base import _LN_2PI, _noise_args
 from .scg import scg_maximise
 
 # Eigenvalues of -H at or below this are treated as a flat direction.
@@ -70,7 +71,7 @@ def exact_blr_posterior(design_matrix, targets, alpha, beta):
             f"design {phi.shape} and targets {y.shape} are inconsistent"
         )
     if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
+        raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
     m = phi.shape[1]
     precision = alpha * np.eye(m) + beta * (phi.T @ phi)
     cho = cho_factor(precision, lower=True)
@@ -87,17 +88,10 @@ def log_joint(model, w, hyper=None):
 
 def _log_joint_and_grad(model, w, hyper):
     w = np.asarray(w, dtype=float)
-    if isinstance(model, GaussianNoiseModel):
-        if hyper is None or hyper.beta is None:
-            raise ValueError("Gaussian-noise model needs hyper.beta for the log joint")
-        value = model.log_lik(w, hyper.beta)
-        grad = model.grad_log_lik(w, hyper.beta)
-    else:
-        value = model.log_lik(w)
-        grad = model.grad_log_lik(w)
+    value, grad = model.log_lik_and_grad(w, *_noise_args(model, hyper))
     if model.prior == "gaussian":
         if hyper is None or hyper.alpha is None:
-            raise ValueError("Gaussian-prior model needs hyper.alpha for the log joint")
+            raise ConfigError("Gaussian-prior model needs hyper.alpha for the log joint")
         a = hyper.alpha
         value += 0.5 * model.dim * (np.log(a) - _LN_2PI) - 0.5 * a * float(w @ w)
         grad = grad - a * w

@@ -13,11 +13,12 @@ posteriors and hyperparameters within a fit.
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     DegenerateFitError,
     DegeneratePosteriorError,
     DimensionError,
 )
-from .models.base import GaussianNoiseModel
+from .models.base import GaussianNoiseModel, _noise_args
 
 _LN_2PI = np.log(2.0 * np.pi)
 
@@ -33,11 +34,6 @@ def _check_dims(model, post, samples):
         )
 
 
-def _noise_args(model, hyper):
-    """Extra likelihood arguments: beta for Gaussian-noise models, else none."""
-    return (hyper.beta,) if isinstance(model, GaussianNoiseModel) else ()
-
-
 def kl_gaussian_prior(post, alpha):
     """KL(q || N(0, I/alpha)) for q = N(mu, L L^T), in closed form.
 
@@ -45,7 +41,7 @@ def kl_gaussian_prior(post, alpha):
     + 2 ln|det L| rather than formed from the product matrix.
     """
     if alpha is None or alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise ConfigError(f"alpha must be positive, got {alpha}")
     m = post.dim
     logdet = post.log_abs_det_factor()
     sq = float(np.sum(post.L * post.L)) + float(post.mu @ post.mu)
@@ -57,18 +53,31 @@ def gaussian_entropy(post):
     return 0.5 * post.dim * (_LN_2PI + 1.0) + post.log_abs_det_factor()
 
 
+def _prior_term(model, post, hyper):
+    """The Gaussian entropy under a flat prior, else the negated prior KL."""
+    if model.prior == "flat":
+        return gaussian_entropy(post)
+    return -kl_gaussian_prior(post, hyper.alpha)
+
+
 def lower_bound_fs(model, post, hyper, samples):
     """The finite-sample lower bound at the given posterior and draws.
 
     Deterministic given `samples`; two calls with the same arguments
-    return the identical value.
+    return the identical value. Evaluates the likelihood values only.
     """
     _check_dims(model, post, samples)
     w = post.transform(samples.draws)
     mean_ll = float(np.mean(model.log_lik_batch(w, *_noise_args(model, hyper))))
-    if model.prior == "flat":
-        return mean_ll + gaussian_entropy(post)
-    return mean_ll - kl_gaussian_prior(post, hyper.alpha)
+    return mean_ll + _prior_term(model, post, hyper)
+
+
+def _model_pass(model, post, hyper, samples):
+    """Mean log-likelihood and per-draw gradients from one fused model pass."""
+    _check_dims(model, post, samples)
+    w = post.transform(samples.draws)
+    values, grads = model.log_lik_and_grad_batch(w, *_noise_args(model, hyper))
+    return float(np.mean(values)), grads
 
 
 def _factor_pinv_t(L):
@@ -77,31 +86,37 @@ def _factor_pinv_t(L):
     return np.linalg.pinv(L, rcond=rcond).T
 
 
-def grad_mu(model, post, hyper, samples):
-    """Gradient of the bound with respect to the posterior mean."""
-    _check_dims(model, post, samples)
-    w = post.transform(samples.draws)
-    g = np.mean(model.grad_log_lik_batch(w, *_noise_args(model, hyper)), axis=0)
-    if model.prior == "flat":
-        return g
-    return g - hyper.alpha * post.mu
+def _value_and_grad_mu(model, post, hyper, samples):
+    """Bound value and its gradient with respect to the posterior mean."""
+    mean_ll, grads = _model_pass(model, post, hyper, samples)
+    g = np.mean(grads, axis=0)
+    if model.prior == "gaussian":
+        g = g - hyper.alpha * post.mu
+    return mean_ll + _prior_term(model, post, hyper), g
 
 
-def grad_L(model, post, hyper, samples):
-    """Gradient of the bound with respect to the posterior factor L.
+def _value_and_grad_L(model, post, hyper, samples):
+    """Bound value and its gradient with respect to the posterior factor L.
 
     The likelihood term is (1/S) sum_s grad_w log p(Y|w_s) z_s^T; the
     prior/entropy term contributes the transposed pseudo-inverse of L
     (and -alpha L under a Gaussian prior).
     """
-    _check_dims(model, post, samples)
-    z = samples.draws
-    w = post.transform(z)
-    grads = model.grad_log_lik_batch(w, *_noise_args(model, hyper))
-    cross = grads.T @ z / samples.size
-    if model.prior == "flat":
-        return cross + _factor_pinv_t(post.L)
-    return cross - hyper.alpha * post.L + _factor_pinv_t(post.L)
+    mean_ll, grads = _model_pass(model, post, hyper, samples)
+    g = grads.T @ samples.draws / samples.size
+    if model.prior == "gaussian":
+        g = g - hyper.alpha * post.L
+    return mean_ll + _prior_term(model, post, hyper), g + _factor_pinv_t(post.L)
+
+
+def grad_mu(model, post, hyper, samples):
+    """Gradient of the bound with respect to the posterior mean."""
+    return _value_and_grad_mu(model, post, hyper, samples)[1]
+
+
+def grad_L(model, post, hyper, samples):
+    """Gradient of the bound with respect to the posterior factor L."""
+    return _value_and_grad_L(model, post, hyper, samples)[1]
 
 
 def update_alpha(post):
@@ -119,13 +134,17 @@ def update_alpha(post):
     return post.dim / denom
 
 
+def _residual_total(model, post, samples, what):
+    """sum_s ||Y - f(X; w_s)||^2 over the draws of a Gaussian-noise model."""
+    if not isinstance(model, GaussianNoiseModel):
+        raise DimensionError(f"{what} requires a Gaussian-noise model")
+    _check_dims(model, post, samples)
+    return float(np.sum(model.residual_sq_batch(post.transform(samples.draws))))
+
+
 def update_beta(model, post, samples):
     """Analytic noise-precision update beta = S N / sum_s ||Y - f(X; w_s)||^2."""
-    if not isinstance(model, GaussianNoiseModel):
-        raise DimensionError("beta update requires a Gaussian-noise model")
-    _check_dims(model, post, samples)
-    w = post.transform(samples.draws)
-    total = float(np.sum(model.residual_sq_batch(w)))
+    total = _residual_total(model, post, samples, "beta update")
     if total == 0.0:
         raise DegenerateFitError("all residuals are zero; beta update undefined")
     return samples.size * model.n_obs / total
@@ -139,47 +158,8 @@ def dbound_dalpha(post, alpha):
 
 def dbound_dbeta(model, post, samples, beta):
     """Analytic partial derivative of the bound with respect to beta."""
-    if not isinstance(model, GaussianNoiseModel):
-        raise DimensionError("beta derivative requires a Gaussian-noise model")
-    w = post.transform(samples.draws)
-    total = float(np.sum(model.residual_sq_batch(w)))
+    total = _residual_total(model, post, samples, "beta derivative")
     return 0.5 * model.n_obs / beta - 0.5 * total / samples.size
-
-
-def _value_and_grad_mu(model, post, hyper, samples):
-    """Bound value and mu-gradient from one model pass over the draws.
-
-    Bitwise equal to (lower_bound_fs, grad_mu) at the same arguments.
-    """
-    w = post.transform(samples.draws)
-    values, grads = model.log_lik_and_grad_batch(w, *_noise_args(model, hyper))
-    mean_ll = float(np.mean(values))
-    g = np.mean(grads, axis=0)
-    if model.prior == "flat":
-        return mean_ll + gaussian_entropy(post), g
-    return (
-        mean_ll - kl_gaussian_prior(post, hyper.alpha),
-        g - hyper.alpha * post.mu,
-    )
-
-
-def _value_and_grad_L(model, post, hyper, samples):
-    """Bound value and L-gradient from one model pass over the draws.
-
-    Bitwise equal to (lower_bound_fs, grad_L) at the same arguments.
-    """
-    z = samples.draws
-    w = post.transform(z)
-    values, grads = model.log_lik_and_grad_batch(w, *_noise_args(model, hyper))
-    mean_ll = float(np.mean(values))
-    cross = grads.T @ z / samples.size
-    pinv_t = _factor_pinv_t(post.L)
-    if model.prior == "flat":
-        return mean_ll + gaussian_entropy(post), cross + pinv_t
-    return (
-        mean_ll - kl_gaussian_prior(post, hyper.alpha),
-        cross - hyper.alpha * post.L + pinv_t,
-    )
 
 
 __all__ = [

@@ -24,11 +24,15 @@ from .exceptions import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .models.base import GaussianNoiseModel
-from .posterior import Hyperparameters, SampleSet, VariationalPosterior
+from .models.base import GaussianNoiseModel, _noise_args
+from .posterior import (
+    _LOG_DET_FLOOR,
+    Hyperparameters,
+    SampleSet,
+    VariationalPosterior,
+)
 from .scg import scg_maximise
 
-_LOG_DET_FLOOR = np.log(1e-300)
 _INNER_GRAD_TOL = 1e-9
 # Monitor verdict needs at least this many recorded iterations.
 _MIN_MONITOR_ITERS = 10
@@ -155,10 +159,10 @@ def _optimise_model_params(model, post, samples, iters):
 
 
 def _ml_start(model, hyper, dim, iters=200):
+    args = _noise_args(model, hyper)
+
     def objective(w):
-        if isinstance(model, GaussianNoiseModel):
-            return model.log_lik(w, hyper.beta), model.grad_log_lik(w, hyper.beta)
-        return model.log_lik(w), model.grad_log_lik(w)
+        return model.log_lik_and_grad(w, *args)
 
     return scg_maximise(objective, np.zeros(dim), max_iters=iters, grad_tol=1e-8).x
 
@@ -213,7 +217,7 @@ def fit(model, config=None, seed=0):
         post = _optimise_factor(model, post, hyper, samples, config.inner_iters, mask)
         if model.prior == "gaussian" and not config.fix_alpha:
             hyper = Hyperparameters(alpha=update_alpha(post), beta=hyper.beta)
-        if isinstance(model, GaussianNoiseModel) and not config.fix_beta:
+        if hyper.beta is not None and not config.fix_beta:
             hyper = Hyperparameters(
                 alpha=hyper.alpha, beta=update_beta(model, post, samples)
             )

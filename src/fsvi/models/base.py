@@ -3,13 +3,22 @@
 Models are immutable and their evaluations are pure, so a single instance
 can safely be shared across threads or evaluated on batches of parameter
 vectors at once.
+
+A model implements one fused batched pass, `log_lik_and_grad_batch`; every
+other likelihood method is derived from it here.
 """
 
 import abc
 
 import numpy as np
 
+from ..exceptions import ConfigError
+
 _LN_2PI = np.log(2.0 * np.pi)
+
+
+def _one_row(w):
+    return np.asarray(w, dtype=float)[None, :]
 
 
 class TargetModel(abc.ABC):
@@ -18,6 +27,10 @@ class TargetModel(abc.ABC):
     `prior` is "gaussian" for models fitted under a zero-mean isotropic
     Gaussian prior with precision alpha, and "flat" for targets fitted
     under an improper uniform prior (direct density fitting included).
+
+    Likelihood methods take the draws first and then any extra arguments
+    the model needs (the noise precision beta for Gaussian-noise models;
+    see `_noise_args`).
     """
 
     prior = "gaussian"
@@ -28,29 +41,30 @@ class TargetModel(abc.ABC):
         """Number of parameters the likelihood is evaluated at."""
 
     @abc.abstractmethod
-    def log_lik(self, w):
-        ...
+    def log_lik_and_grad_batch(self, w_batch, *args):
+        """(values[S], grads[S, dim]) at the rows of w_batch in one pass."""
 
-    @abc.abstractmethod
-    def grad_log_lik(self, w):
-        ...
+    def log_lik_batch(self, w_batch, *args):
+        """Log-likelihood at each row of w_batch.
 
-    def log_lik_batch(self, w_batch):
-        """Log-likelihood at each row of w_batch; override for speed."""
-        return np.array([self.log_lik(w) for w in np.asarray(w_batch, dtype=float)])
-
-    def grad_log_lik_batch(self, w_batch):
-        return np.stack(
-            [self.grad_log_lik(w) for w in np.asarray(w_batch, dtype=float)]
-        )
-
-    def log_lik_and_grad_batch(self, w_batch):
-        """(values[S], grads[S, dim]) at the rows of w_batch in one call.
-
-        Bitwise equal to (log_lik_batch, grad_log_lik_batch). Models whose
-        value and gradient share work override this to do it once.
+        Override where the value alone is cheaper than the fused pass; the
+        override must return exactly the fused pass's values.
         """
-        return self.log_lik_batch(w_batch), self.grad_log_lik_batch(w_batch)
+        return self.log_lik_and_grad_batch(w_batch, *args)[0]
+
+    def grad_log_lik_batch(self, w_batch, *args):
+        return self.log_lik_and_grad_batch(w_batch, *args)[1]
+
+    def log_lik_and_grad(self, w, *args):
+        """(value, gradient) at a single parameter vector: a batch of one."""
+        values, grads = self.log_lik_and_grad_batch(_one_row(w), *args)
+        return float(values[0]), grads[0]
+
+    def log_lik(self, w, *args):
+        return float(self.log_lik_batch(_one_row(w), *args)[0])
+
+    def grad_log_lik(self, w, *args):
+        return self.grad_log_lik_batch(_one_row(w), *args)[0]
 
     @property
     def posterior_blocks(self):
@@ -69,16 +83,9 @@ class TargetModel(abc.ABC):
     def with_model_params(self, theta):
         raise NotImplementedError(f"{type(self).__name__} has no model parameters")
 
-    def grad_model_params_batch(self, w_batch):
-        """Gradient of the mean log-likelihood over w_batch w.r.t. model_params."""
-        raise NotImplementedError(f"{type(self).__name__} has no model parameters")
-
     def model_params_value_and_grad(self, w_batch):
         """(mean log-likelihood over w_batch, its model_params gradient)."""
-        return (
-            float(np.mean(self.log_lik_batch(w_batch))),
-            self.grad_model_params_batch(w_batch),
-        )
+        raise NotImplementedError(f"{type(self).__name__} has no model parameters")
 
     def predict(self, w, inputs):
         """Per-datum predictions at parameter vector w (model specific)."""
@@ -93,8 +100,9 @@ class GaussianNoiseModel(TargetModel):
 
     The noise precision beta is a fit-level hyperparameter, so unlike the
     base class the likelihood methods take it explicitly. Subclasses
-    supply the regression function through `predict_outputs` and its
-    Jacobian; the Gaussian algebra lives here.
+    supply the regression function through `predict_outputs_batch` and its
+    transposed-Jacobian product `vjp_batch`; the Gaussian algebra lives
+    here.
     """
 
     @property
@@ -108,44 +116,40 @@ class GaussianNoiseModel(TargetModel):
         ...
 
     @abc.abstractmethod
-    def predict_outputs(self, w):
-        """f(X; w) on the training inputs, shape (n_obs,)."""
+    def predict_outputs_batch(self, w_batch):
+        """f(X; w_s) on the training inputs for each row, shape (S, n_obs)."""
 
     @abc.abstractmethod
-    def jacobian(self, w):
-        """d f(X; w) / d w on the training inputs, shape (n_obs, dim)."""
+    def vjp_batch(self, w_batch, r):
+        """J(w_s)^T r_s for each row s, shape (S, dim), with J = d f(X; w) / d w.
 
-    def predict_outputs_batch(self, w_batch):
-        return np.stack(
-            [self.predict_outputs(w) for w in np.asarray(w_batch, dtype=float)]
-        )
-
-    def residuals(self, w):
-        return self.targets - self.predict_outputs(w)
+        Each row must depend on its own draw and residual only, so a row's
+        result does not change with the batch size.
+        """
 
     def residual_sq_batch(self, w_batch):
         """Squared residual norm ||Y - f(X; w)||^2 for each row of w_batch."""
         r = self.targets - self.predict_outputs_batch(w_batch)
         return np.sum(r * r, axis=1)
 
-    def log_lik(self, w, beta):
-        r = self.residuals(w)
-        return 0.5 * self.n_obs * (np.log(beta) - _LN_2PI) - 0.5 * beta * float(r @ r)
-
-    def grad_log_lik(self, w, beta):
-        return beta * (self.jacobian(w).T @ self.residuals(w))
-
-    def log_lik_batch(self, w_batch, beta):
-        return self._log_lik_of_sq(self.residual_sq_batch(w_batch), beta)
-
     def _log_lik_of_sq(self, sq, beta):
         """Log-likelihood from squared residual norms sq."""
         return 0.5 * self.n_obs * (np.log(beta) - _LN_2PI) - 0.5 * beta * sq
 
-    def grad_log_lik_batch(self, w_batch, beta):
-        return np.stack(
-            [self.grad_log_lik(w, beta) for w in np.asarray(w_batch, dtype=float)]
-        )
+    def log_lik_batch(self, w_batch, beta):
+        return self._log_lik_of_sq(self.residual_sq_batch(w_batch), beta)
 
     def log_lik_and_grad_batch(self, w_batch, beta):
-        return self.log_lik_batch(w_batch, beta), self.grad_log_lik_batch(w_batch, beta)
+        w = np.asarray(w_batch, dtype=float)
+        r = self.targets - self.predict_outputs_batch(w)
+        value = self._log_lik_of_sq(np.sum(r * r, axis=1), beta)
+        return value, beta * self.vjp_batch(w, r)
+
+
+def _noise_args(model, hyper):
+    """Extra likelihood arguments: (beta,) for Gaussian-noise models, else ()."""
+    if not isinstance(model, GaussianNoiseModel):
+        return ()
+    if hyper is None or hyper.beta is None:
+        raise ConfigError("Gaussian-noise model needs hyper.beta")
+    return (hyper.beta,)

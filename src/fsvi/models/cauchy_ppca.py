@@ -117,15 +117,6 @@ class CauchyPpcaModel(TargetModel):
     def posterior_blocks(self):
         return (self.latent_dim,) * self.n_data
 
-    def _latents(self, w):
-        return np.asarray(w, dtype=float).reshape(self.n_data, self.latent_dim)
-
-    def log_lik(self, w):
-        return cauchy_ppca_loglik(self._latents(w), self.params, self._y)[0]
-
-    def grad_log_lik(self, w):
-        return cauchy_ppca_loglik(self._latents(w), self.params, self._y)[1].ravel()
-
     def _residual_stats(self, w_batch):
         """Latents x, scaled residuals u = (y - x W^T - xi) / gamma, and 1 + u^2.
 
@@ -141,43 +132,22 @@ class CauchyPpcaModel(TargetModel):
         denom += 1.0
         return x, u, denom
 
-    # The helpers below consume the residual stats: `_values` overwrites
-    # denom with its logarithm and `_latent_grads` overwrites u with
+    # Consumers of the residual stats overwrite them: the value overwrites
+    # denom with its logarithm and the gradients overwrite u with
     # t = u / denom, so `_values` must run last.
     def _values(self, denom):
         const = -self._y.size * (np.log(np.pi) + np.log(self.params.scale))
         return const - np.sum(np.log(denom, out=denom), axis=(1, 2))
 
-    def _latent_grads(self, u, denom):
-        t = np.divide(u, denom, out=u)
-        g = (2.0 / self.params.scale) * (t @ self.params.loading)
-        return g.reshape(u.shape[0], -1)
-
-    def _param_grads(self, x, u, denom):
-        s = x.shape[0]
-        gamma = self.params.scale
-        # d/d ln(gamma) = gamma * d/d gamma.
-        q = u * u
-        q -= 1.0
-        q /= denom
-        grad_rho = float(np.sum(q)) / s
-        t = np.divide(u, denom, out=u)
-        grad_w = (2.0 / gamma) * np.einsum("snd,snq->dq", t, x) / s
-        grad_xi = (2.0 / gamma) * t.sum(axis=(0, 1)) / s
-        return np.concatenate([grad_w.ravel(), grad_xi, [grad_rho]])
-
     def log_lik_batch(self, w_batch):
         _, _, denom = self._residual_stats(w_batch)
         return self._values(denom)
 
-    def grad_log_lik_batch(self, w_batch):
-        _, u, denom = self._residual_stats(w_batch)
-        return self._latent_grads(u, denom)
-
     def log_lik_and_grad_batch(self, w_batch):
         _, u, denom = self._residual_stats(w_batch)
-        grads = self._latent_grads(u, denom)
-        return self._values(denom), grads
+        t = np.divide(u, denom, out=u)
+        grads = (2.0 / self.params.scale) * (t @ self.params.loading)
+        return self._values(denom), grads.reshape(t.shape[0], -1)
 
     @property
     def model_params(self):
@@ -192,12 +162,19 @@ class CauchyPpcaModel(TargetModel):
         scale = float(np.exp(theta[-1]))
         return CauchyPpcaModel(self._y, CauchyPpcaParams(loading, offset, scale))
 
-    def grad_model_params_batch(self, w_batch):
-        return self._param_grads(*self._residual_stats(w_batch))
-
     def model_params_value_and_grad(self, w_batch):
         x, u, denom = self._residual_stats(w_batch)
-        grad = self._param_grads(x, u, denom)
+        s = x.shape[0]
+        gamma = self.params.scale
+        # d/d ln(gamma) = gamma * d/d gamma.
+        q = u * u
+        q -= 1.0
+        q /= denom
+        grad_rho = float(np.sum(q)) / s
+        t = np.divide(u, denom, out=u)
+        grad_w = (2.0 / gamma) * np.einsum("snd,snq->dq", t, x) / s
+        grad_xi = (2.0 / gamma) * t.sum(axis=(0, 1)) / s
+        grad = np.concatenate([grad_w.ravel(), grad_xi, [grad_rho]])
         return float(np.mean(self._values(denom))), grad
 
     def reconstruct(self, latents):

@@ -77,19 +77,15 @@ class LogisticModel(TargetModel):
     def dim(self):
         return self._phi.shape[1]
 
-    def log_lik(self, w):
-        return logistic_loglik(w, self._phi, self._y)[0]
-
-    def grad_log_lik(self, w):
-        return logistic_loglik(w, self._phi, self._y)[1]
-
-    def log_lik_batch(self, w_batch):
-        t = np.asarray(w_batch, dtype=float) @ self._phi.T
+    def _values(self, t):
         return t @ self._y - np.sum(np.logaddexp(0.0, t), axis=1)
 
-    def grad_log_lik_batch(self, w_batch):
+    def log_lik_batch(self, w_batch):
+        return self._values(np.asarray(w_batch, dtype=float) @ self._phi.T)
+
+    def log_lik_and_grad_batch(self, w_batch):
         t = np.asarray(w_batch, dtype=float) @ self._phi.T
-        return (self._y - expit(t)) @ self._phi
+        return self._values(t), (self._y - expit(t)) @ self._phi
 
     def predict(self, w, inputs):
         """Class probabilities, shape (n, 2); column 1 is P(label = 1)."""
@@ -130,26 +126,24 @@ class SoftmaxModel(TargetModel):
     def posterior_blocks(self):
         return (self._phi.shape[1],) * self._k
 
-    def log_lik(self, w):
-        return softmax_loglik(w, self._phi, self._y)[0]
-
-    def grad_log_lik(self, w):
-        return softmax_loglik(w, self._phi, self._y)[1]
-
-    def log_lik_batch(self, w_batch):
+    def _logits(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
-        logits = np.einsum(
+        return np.einsum(
             "skm,nm->snk", w.reshape(w.shape[0], self._k, -1), self._phi
         )
+
+    def _values(self, logits):
         fit = np.sum(logits * self._y[None, :, :], axis=(1, 2))
         return fit - np.sum(logsumexp(logits, axis=2), axis=1)
 
-    def grad_log_lik_batch(self, w_batch):
-        w = np.asarray(w_batch, dtype=float)
-        s = w.shape[0]
-        logits = np.einsum("skm,nm->snk", w.reshape(s, self._k, -1), self._phi)
+    def log_lik_batch(self, w_batch):
+        return self._values(self._logits(w_batch))
+
+    def log_lik_and_grad_batch(self, w_batch):
+        logits = self._logits(w_batch)
         diff = self._y[None, :, :] - softmax(logits, axis=2)
-        return np.einsum("snk,nm->skm", diff, self._phi).reshape(s, -1)
+        grads = np.einsum("snk,nm->skm", diff, self._phi)
+        return self._values(logits), grads.reshape(logits.shape[0], -1)
 
     def predict(self, w, inputs):
         """Class probabilities, shape (n, K); rows sum to one."""

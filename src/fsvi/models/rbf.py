@@ -104,23 +104,11 @@ class RbfRegressionModel(GaussianNoiseModel):
     def design_matrix(self):
         return self._phi
 
-    def predict_outputs(self, w):
-        return self._phi @ np.asarray(w, dtype=float)
-
     def predict_outputs_batch(self, w_batch):
         return np.asarray(w_batch, dtype=float) @ self._phi.T
 
-    def jacobian(self, w):
-        return self._phi
-
-    def grad_log_lik_batch(self, w_batch, beta):
-        r = self._y - self.predict_outputs_batch(w_batch)
-        return beta * (r @ self._phi)
-
-    def log_lik_and_grad_batch(self, w_batch, beta):
-        r = self._y - self.predict_outputs_batch(w_batch)
-        value = self._log_lik_of_sq(np.sum(r * r, axis=1), beta)
-        return value, beta * (r @ self._phi)
+    def vjp_batch(self, w_batch, r):
+        return r @ self._phi
 
     def predict(self, w, inputs):
         return self.design.matrix(inputs) @ np.asarray(w, dtype=float)

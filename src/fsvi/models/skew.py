@@ -74,18 +74,6 @@ class SkewTarget(TargetModel):
     def dim(self):
         return 2
 
-    def log_lik(self, w):
-        return skew_logdensity(w, self.coeff)[0]
-
-    def grad_log_lik(self, w):
-        return skew_logdensity(w, self.coeff)[1]
-
-    def log_lik_batch(self, w_batch):
-        return self.log_lik_and_grad_batch(w_batch)[0]
-
-    def grad_log_lik_batch(self, w_batch):
-        return self.log_lik_and_grad_batch(w_batch)[1]
-
     def log_lik_and_grad_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
         h, dh = _h_and_grad(w, self.coeff)
@@ -113,20 +101,8 @@ class GaussianTarget(TargetModel):
     def dim(self):
         return self.mean.size
 
-    def log_lik(self, w):
-        d = np.asarray(w, dtype=float) - self.mean
-        maha = float(d @ cho_solve(self._cho, d))
-        return -0.5 * (self.dim * _LN_2PI + self._logdet + maha)
-
-    def grad_log_lik(self, w):
-        d = np.asarray(w, dtype=float) - self.mean
-        return -cho_solve(self._cho, d)
-
-    def log_lik_batch(self, w_batch):
+    def log_lik_and_grad_batch(self, w_batch):
         d = np.asarray(w_batch, dtype=float) - self.mean
-        maha = np.sum(d * cho_solve(self._cho, d.T).T, axis=1)
-        return -0.5 * (self.dim * _LN_2PI + self._logdet + maha)
-
-    def grad_log_lik_batch(self, w_batch):
-        d = np.asarray(w_batch, dtype=float) - self.mean
-        return -cho_solve(self._cho, d.T).T
+        solved = cho_solve(self._cho, d.T).T
+        maha = np.sum(d * solved, axis=1)
+        return -0.5 * (self.dim * _LN_2PI + self._logdet + maha), -solved

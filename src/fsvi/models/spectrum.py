@@ -49,6 +49,7 @@ class SpectrumDecayModel(GaussianNoiseModel):
             raise ConfigError("distances and frequencies must be positive")
         self._n_sources = n_sources
         self._log_r = np.log(self._r)
+        self._source_onehot = (self._e[:, None] == np.arange(n_sources)).astype(float)
 
     @property
     def n_sources(self):
@@ -66,52 +67,37 @@ class SpectrumDecayModel(GaussianNoiseModel):
     def targets(self):
         return self._y
 
-    def _amplitude(self, w, e, log_r, f):
-        w = np.asarray(w, dtype=float)
-        strength = w[e]
-        eta, kappa, c = w[self._n_sources :]
-        u = (f * np.exp(min(-c, _EXP_CAP))) ** 2
-        log_g = strength - eta * log_r - kappa * f
+    def _amplitude_batch(self, w_batch, e, log_r, f):
+        """Amplitudes g and rolloff terms u = (f / exp(c))^2, both (S, n)."""
+        w = np.asarray(w_batch, dtype=float)
+        eta, kappa, c = (w[:, self._n_sources + i, None] for i in range(3))
+        u = (f * np.exp(np.minimum(-c, _EXP_CAP))) ** 2
+        log_g = w[:, e] - eta * log_r - kappa * f
         return np.exp(np.minimum(log_g, _EXP_CAP)) / (1.0 + u), u
 
-    def predict_outputs(self, w):
-        return self._amplitude(w, self._e, self._log_r, self._f)[0]
-
     def predict_outputs_batch(self, w_batch):
-        w = np.asarray(w_batch, dtype=float)
-        strength = w[:, self._e]
-        eta = w[:, self._n_sources, None]
-        kappa = w[:, self._n_sources + 1, None]
-        c = w[:, self._n_sources + 2, None]
-        u = (self._f[None, :] * np.exp(np.minimum(-c, _EXP_CAP))) ** 2
-        log_g = strength - eta * self._log_r - kappa * self._f
-        return np.exp(np.minimum(log_g, _EXP_CAP)) / (1.0 + u)
+        return self._amplitude_batch(w_batch, self._e, self._log_r, self._f)[0]
 
-    def jacobian(self, w):
-        g, u = self._amplitude(w, self._e, self._log_r, self._f)
-        n = self.n_obs
-        jac = np.zeros((n, self.dim))
-        jac[np.arange(n), self._e] = g
-        jac[:, self._n_sources] = -g * self._log_r
-        jac[:, self._n_sources + 1] = -g * self._f
-        jac[:, self._n_sources + 2] = g * 2.0 * u / (1.0 + u)
-        return jac
+    def vjp_batch(self, w_batch, r):
+        # Per-row reductions, so a row's result does not depend on the batch.
+        g, u = self._amplitude_batch(w_batch, self._e, self._log_r, self._f)
+        gr = g * r
+        return np.column_stack(
+            [
+                np.einsum("sn,nk->sk", gr, self._source_onehot),
+                -np.sum(gr * self._log_r, axis=1),
+                -np.sum(gr * self._f, axis=1),
+                np.sum(gr * (2.0 * u / (1.0 + u)), axis=1),
+            ]
+        )
 
     def predict(self, w, inputs):
         """Amplitudes at (source_idx, distance, frequency) rows of `inputs`."""
-        e, r, f = self._unpack_inputs(inputs)
-        return self._amplitude(w, e, np.log(r), f)[0]
+        return self.predict_batch(np.asarray(w, dtype=float)[None, :], inputs)[0]
 
     def predict_batch(self, w_batch, inputs):
         e, r, f = self._unpack_inputs(inputs)
-        w = np.asarray(w_batch, dtype=float)
-        strength = w[:, e]
-        eta = w[:, self._n_sources, None]
-        kappa = w[:, self._n_sources + 1, None]
-        c = w[:, self._n_sources + 2, None]
-        u = (f[None, :] * np.exp(np.minimum(-c, _EXP_CAP))) ** 2
-        log_g = strength - eta * np.log(r) - kappa * f
-        return np.exp(np.minimum(log_g, _EXP_CAP)) / (1.0 + u)
+        return self._amplitude_batch(w_batch, e, np.log(r), f)[0]
 
     def _unpack_inputs(self, inputs):
         arr = np.asarray(inputs, dtype=float)

@@ -52,11 +52,9 @@ class PriorOnlyModel(TargetModel):
     def dim(self):
         return self._dim
 
-    def log_lik(self, w):
-        return 0.0
-
-    def grad_log_lik(self, w):
-        return np.zeros(self._dim)
+    def log_lik_and_grad_batch(self, w_batch):
+        w = np.asarray(w_batch, dtype=float)
+        return np.zeros(w.shape[0]), np.zeros_like(w)
 
 
 class LineModel(GaussianNoiseModel):
@@ -77,11 +75,11 @@ class LineModel(GaussianNoiseModel):
     def targets(self):
         return self._y
 
-    def predict_outputs(self, w):
-        return np.asarray(w, dtype=float)
+    def predict_outputs_batch(self, w_batch):
+        return np.asarray(w_batch, dtype=float)
 
-    def jacobian(self, w):
-        return np.eye(self._y.size)
+    def vjp_batch(self, w_batch, r):
+        return r
 
 
 class QuarticTarget(TargetModel):
@@ -93,11 +91,9 @@ class QuarticTarget(TargetModel):
     def dim(self):
         return 1
 
-    def log_lik(self, w):
-        return -float(np.asarray(w, dtype=float).ravel()[0] ** 4)
-
-    def grad_log_lik(self, w):
-        return -4.0 * np.asarray(w, dtype=float) ** 3
+    def log_lik_and_grad_batch(self, w_batch):
+        w = np.asarray(w_batch, dtype=float)
+        return -w[:, 0] ** 4, -4.0 * w**3
 
 
 def make_model_zoo(seed=0):

@@ -14,7 +14,12 @@ from fsvi import (
     ml_ppca_fit,
     ml_ppca_loglik,
 )
-from fsvi.exceptions import DimensionError, IndefiniteHessianError, RankError
+from fsvi.exceptions import (
+    DimensionError,
+    FsviError,
+    IndefiniteHessianError,
+    RankError,
+)
 from fsvi.models import (
     GaussianTarget,
     RbfDesign,
@@ -56,8 +61,9 @@ def test_blr_prior_limit_as_noise_dominates():
 def test_blr_validation():
     with pytest.raises(DimensionError):
         exact_blr_posterior(np.zeros((4, 2)), np.zeros(5), 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         exact_blr_posterior(np.zeros((4, 2)), np.zeros(4), -1.0, 1.0)
+    assert isinstance(excinfo.value, FsviError)
 
 
 def test_exact_posterior_validation():
@@ -97,8 +103,12 @@ def test_log_joint_requires_hyperparameters():
     x, y = synth_regression_data(8, seed=0)
     design = RbfDesign.from_inputs(x, 1.0, n_centres=2)
     model = RbfRegressionModel(x, y, design)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         log_joint(model, np.zeros(model.dim))
+    assert isinstance(excinfo.value, FsviError)
+    with pytest.raises(ValueError) as excinfo:
+        log_joint(model, np.zeros(model.dim), Hyperparameters(alpha=None, beta=2.0))
+    assert isinstance(excinfo.value, FsviError)
 
 
 # --------------------------------------------------------------------- laplace
@@ -144,8 +154,9 @@ def test_laplace_needs_beta_for_noise_models():
     x, y = synth_regression_data(8, seed=5)
     design = RbfDesign.from_inputs(x, 1.0, n_centres=2)
     model = RbfRegressionModel(x, y, design)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as excinfo:
         laplace_approximation(model, Hyperparameters(alpha=1.0, beta=None))
+    assert isinstance(excinfo.value, FsviError)
 
 
 # --------------------------------------------------------------------- ml ppca

@@ -27,6 +27,7 @@ from fsvi import (
 )
 from fsvi.bound import _value_and_grad_L, _value_and_grad_mu
 from fsvi.exceptions import (
+    ConfigError,
     DegenerateFitError,
     DegeneratePosteriorError,
     DimensionError,
@@ -154,7 +155,22 @@ def test_bound_rejects_singular_factor():
         lower_bound_fs(model, post, Hyperparameters(1.0), samples)
 
 
+def test_bound_needs_beta_for_noise_models():
+    model = LineModel([0.5, -0.5])
+    post = VariationalPosterior(np.zeros(2), np.eye(2))
+    samples = SampleSet.generate(3, 2, seed=0)
+    with pytest.raises(ConfigError):
+        lower_bound_fs(model, post, Hyperparameters(1.0, None), samples)
+
+
 # -------------------------------------------------------------------- KL term
+
+
+def test_kl_rejects_nonpositive_alpha():
+    post = VariationalPosterior(np.zeros(2), np.eye(2))
+    for alpha in (0.0, -1.0, None):
+        with pytest.raises(ConfigError):
+            kl_gaussian_prior(post, alpha)
 
 
 def test_kl_zero_at_prior():

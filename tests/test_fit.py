@@ -36,11 +36,9 @@ class NegInfModel(TargetModel):
     prior = "flat"
     dim = 2
 
-    def log_lik(self, w):
-        return -np.inf
-
-    def grad_log_lik(self, w):
-        return np.zeros(2)
+    def log_lik_and_grad_batch(self, w_batch):
+        w = np.asarray(w_batch, dtype=float)
+        return np.full(w.shape[0], -np.inf), np.zeros_like(w)
 
 
 def test_prior_only_fit_recovers_the_prior():

@@ -1,10 +1,13 @@
 """Model likelihoods: hand-computed values, gradient contracts, generators."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 from scipy.stats import multivariate_normal
 
+import fsvi.models
 from conftest import fd_grad, rel_err
 from fsvi import scg_maximise
 from fsvi.exceptions import (
@@ -31,6 +34,7 @@ from fsvi.models import (
     synth_spectrum_data,
     true_regression_curve,
 )
+from fsvi.models.base import TargetModel
 
 _LN_2PI = np.log(2.0 * np.pi)
 
@@ -81,19 +85,72 @@ def test_fused_batch_matches_split_methods_bitwise(model_zoo):
 
 
 def test_noise_model_jacobians_match_finite_differences(model_zoo):
+    # vjp_batch along each basis residual e_i is row i of the Jacobian.
     rng = np.random.default_rng(4)
     for name, model, hyper in model_zoo:
         if hyper.beta is None:
             continue
         w = 0.3 * rng.standard_normal(model.dim)
-        jac = model.jacobian(w)
+        n = model.n_obs
+        jac = model.vjp_batch(np.tile(w, (n, 1)), np.eye(n))
         fd = np.stack(
             [
-                fd_grad(lambda v: float(model.predict_outputs(v)[i]), w)
-                for i in range(model.n_obs)
+                fd_grad(lambda v: float(model.predict_outputs_batch(v[None, :])[0, i]), w)
+                for i in range(n)
             ]
         )
         assert rel_err(jac, fd) < 1e-5, f"{name}: jacobian off"
+
+
+def test_batch_pass_matches_reference_likelihoods(model_zoo):
+    # Per-point methods derive from the batched pass, so compare its rows
+    # with the independently coded module-level likelihoods.
+    rng = np.random.default_rng(6)
+    for name, model, hyper in model_zoo:
+        w = 0.3 * rng.standard_normal((5, model.dim))
+        noise = (hyper.beta,) if hyper.beta is not None else ()
+        values, grads = model.log_lik_and_grad_batch(w, *noise)
+        for row, value, grad in zip(w, values, grads):
+            if name == "gaussian":
+                ref = multivariate_normal(model.mean, model.cov)
+                ref_value = ref.logpdf(row)
+                ref_grad = -np.linalg.solve(model.cov, row - model.mean)
+            elif name == "skew":
+                ref_value, ref_grad = skew_logdensity(row, model.coeff)
+            elif name == "rbf-regression":
+                ref_value, ref_grad = rbf_regression_loglik(
+                    row, model.design_matrix, model.targets, hyper.beta
+                )
+            elif name == "logistic":
+                ref_value, ref_grad = logistic_loglik(row, model._phi, model._y)
+            elif name == "softmax":
+                ref_value, ref_grad = softmax_loglik(row, model._phi, model._y)
+            elif name == "cauchy-ppca":
+                latents = row.reshape(model.n_data, model.latent_dim)
+                ref_value, ref_grad = cauchy_ppca_loglik(
+                    latents, model.params, model.data
+                )[:2]
+            elif name == "spectrum":
+                # No module-level reference; the Jacobian test above covers it.
+                continue
+            else:
+                raise AssertionError(f"{name}: no reference likelihood")
+            assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value)), name
+            assert rel_err(grad, np.ravel(ref_grad)) < 1e-12, name
+
+
+def test_model_zoo_covers_every_exported_model(model_zoo):
+    # A concrete model outside the zoo would skip the contract tests above.
+    exported = {
+        cls
+        for cls in vars(fsvi.models).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, TargetModel)
+        and not inspect.isabstract(cls)
+    }
+    assert exported, "no concrete models exported"
+    missing = exported - {type(model) for _, model, _ in model_zoo}
+    assert not missing, f"models missing from make_model_zoo: {missing}"
 
 
 # ------------------------------------------------------------------ regression
@@ -122,7 +179,9 @@ def test_rbf_jacobian_is_design_matrix():
     from fsvi.models import RbfRegressionModel
 
     model = RbfRegressionModel(x, y, design)
-    assert np.array_equal(model.jacobian(np.ones(model.dim)), model.design_matrix)
+    # With identity residuals the rows of vjp_batch are the Jacobian's rows.
+    jac = model.vjp_batch(np.ones((model.n_obs, model.dim)), np.eye(model.n_obs))
+    assert np.array_equal(jac, model.design_matrix)
 
 
 # -------------------------------------------------------------- classification
@@ -265,7 +324,6 @@ def test_cauchy_batched_model_params_gradient():
 
     value, grad = model.model_params_value_and_grad(w)
     assert value == float(np.mean(model.log_lik_batch(w)))
-    assert np.array_equal(grad, model.grad_model_params_batch(w))
 
     fd = fd_grad(
         lambda theta: model.with_model_params(theta).model_params_value_and_grad(w)[0],
@@ -459,10 +517,10 @@ def test_spectrum_prediction_consistency():
     model = SpectrumDecayModel(
         inputs[:, 0].astype(int), inputs[:, 1], inputs[:, 2], targets, n_sources=4
     )
-    direct = model.predict_outputs(true_w)
+    direct = model.predict_outputs_batch(true_w[None, :])[0]
     via_inputs = model.predict(true_w, inputs)
     assert np.max(np.abs(direct - via_inputs)) < 1e-12
-    batch = model.predict_outputs_batch(true_w[None, :])
+    batch = model.predict_outputs_batch(np.stack([true_w, 0.5 * true_w]))
     assert np.max(np.abs(batch[0] - direct)) < 1e-12
 
 
