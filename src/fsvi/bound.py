@@ -44,7 +44,7 @@ def kl_gaussian_prior(post, alpha):
         raise ConfigError(f"alpha must be positive, got {alpha}")
     m = post.dim
     logdet = post.log_abs_det_factor()
-    sq = float(np.sum(post.L * post.L)) + float(post.mu @ post.mu)
+    sq = post.second_moment()
     return 0.5 * (alpha * sq - m - m * np.log(alpha) - 2.0 * logdet)
 
 
@@ -80,12 +80,6 @@ def _model_pass(model, post, hyper, samples):
     return float(np.mean(values)), grads
 
 
-def _factor_pinv_t(L):
-    # SVD pseudo-inverse; cutoff max(M) * eps relative to the top singular value.
-    rcond = max(L.shape) * np.finfo(float).eps
-    return np.linalg.pinv(L, rcond=rcond).T
-
-
 def _value_and_grad_mu(model, post, hyper, samples):
     """Bound value and its gradient with respect to the posterior mean."""
     mean_ll, grads = _model_pass(model, post, hyper, samples)
@@ -98,15 +92,25 @@ def _value_and_grad_mu(model, post, hyper, samples):
 def _value_and_grad_L(model, post, hyper, samples):
     """Bound value and its gradient with respect to the posterior factor L.
 
-    The likelihood term is (1/S) sum_s grad_w log p(Y|w_s) z_s^T; the
-    prior/entropy term contributes the transposed pseudo-inverse of L
-    (and -alpha L under a Gaussian prior).
+    The likelihood term is (1/S) sum_s grad_w log p(Y|w_s) z_s^T, restricted
+    to the blocks of L; the prior/entropy term contributes the transposed
+    inverse of each block (and -alpha L under a Gaussian prior). The
+    gradient has L's own shape.
     """
     mean_ll, grads = _model_pass(model, post, hyper, samples)
-    g = grads.T @ samples.draws / samples.size
+    blocks = post.blocks
+    k, b, _ = blocks.shape
+    s = samples.size
+    g = grads.reshape(s, k, b).transpose(1, 2, 0) @ (
+        samples.draws.reshape(s, k, b).swapaxes(0, 1)
+    ) / s
     if model.prior == "gaussian":
-        g = g - hyper.alpha * post.L
-    return mean_ll + _prior_term(model, post, hyper), g + _factor_pinv_t(post.L)
+        g = g - hyper.alpha * blocks
+    # The prior term comes first: it raises InvalidPosteriorError on a
+    # singular L before the inverse would fail.
+    value = mean_ll + _prior_term(model, post, hyper)
+    g = g + np.linalg.inv(blocks).swapaxes(-1, -2)
+    return value, g.reshape(post.L.shape)
 
 
 def grad_mu(model, post, hyper, samples):
@@ -126,7 +130,7 @@ def update_alpha(post):
     per-block update with a shared alpha reduces to this same expression
     on the stacked quantities.
     """
-    denom = float(post.mu @ post.mu) + float(np.sum(post.L * post.L))
+    denom = post.second_moment()
     if denom <= 0.0:
         raise DegeneratePosteriorError(
             "posterior mean and factor are both zero; alpha update undefined"
@@ -152,8 +156,7 @@ def update_beta(model, post, samples):
 
 def dbound_dalpha(post, alpha):
     """Analytic partial derivative of the bound with respect to alpha."""
-    sq = float(post.mu @ post.mu) + float(np.sum(post.L * post.L))
-    return -0.5 * (sq - post.dim / alpha)
+    return -0.5 * (post.second_moment() - post.dim / alpha)
 
 
 def dbound_dbeta(model, post, samples, beta):

@@ -6,6 +6,9 @@ randomness flows from the single config seed, so re-running a config
 reproduces the metric files byte for byte.
 """
 
+import math
+import numbers
+import os
 import pathlib
 from dataclasses import dataclass, field
 
@@ -31,7 +34,6 @@ from .models import (
     SoftmaxModel,
     SpectrumDecayModel,
     one_hot,
-    split_latent_posterior,
     synth_classification_data,
     synth_regression_data,
     synth_spectrum_data,
@@ -73,6 +75,22 @@ BIVARIATE_COEFFS = (
 )
 
 
+# Posterior draws each classification accuracy is averaged over.
+_N_PRED_DRAWS = 200
+
+
+def _require_type(name, value, types, what):
+    # bool is an Integral (and a Real) in Python, but never a valid count.
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _check_path(name, value):
+    _require_type(name, value, (str, os.PathLike), "a path")
+    if "\0" in str(value):
+        raise ConfigError(f"{name} must not contain a NUL character")
+
+
 @dataclass
 class ExperimentConfig:
     """Settings of one experiment run; seed and output directory are mandatory."""
@@ -86,7 +104,6 @@ class ExperimentConfig:
     inner_iters: int = 10
     max_iter: int | None = None
     tol: float = 1e-4
-    n_pred_draws: int = 200
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -96,9 +113,18 @@ class ExperimentConfig:
             )
         if self.seed is None:
             raise ConfigError("seed is mandatory")
-        self.seed = int(self.seed)
-        if not self.out_dir:
+        if self.out_dir is None or self.out_dir == "":
             raise ConfigError("out_dir is mandatory")
+        _check_path("out_dir", self.out_dir)
+        if self.data is not None:
+            _check_path("data", self.data)
+        for name in ("seed", "n_samples", "n_holdout", "inner_iters", "max_iter"):
+            if getattr(self, name) is not None:
+                _require_type(name, getattr(self, name), numbers.Integral, "an integer")
+        _require_type("tol", self.tol, numbers.Real, "a number")
+        self.seed = int(self.seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples is None:
             self.n_samples = _DEFAULT_SAMPLES[self.kind]
         if self.n_samples < 1:
@@ -110,12 +136,14 @@ class ExperimentConfig:
                 f"holdout draws ({self.n_holdout}) must exceed fit draws "
                 f"({self.n_samples}) for the monitor to mean anything"
             )
+        if self.inner_iters < 1:
+            raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
         if self.max_iter is None:
             self.max_iter = _DEFAULT_MAX_ITER[self.kind]
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_pred_draws < 1:
-            raise ConfigError(f"n_pred_draws must be >= 1, got {self.n_pred_draws}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -123,9 +151,6 @@ class RunArtifacts:
     """Paths written by a run plus the headline metric values."""
 
     metrics_path: str
-    posterior_paths: tuple = ()
-    trace_paths: tuple = ()
-    extra_paths: tuple = ()
     metrics: dict = field(default_factory=dict)
 
 
@@ -194,8 +219,6 @@ def _run_bivariate(config):
     """Fit the three skewed targets; tabulate KLD against the Laplace fit."""
     grid = Grid2D.build()
     table_rows = []
-    posterior_paths = []
-    trace_paths = []
     metrics = {}
     for i, coeff in enumerate(BIVARIATE_COEFFS):
         target = SkewTarget(coeff)
@@ -217,22 +240,14 @@ def _run_bivariate(config):
 
         ppath = _out_path(config, f"posterior_bivariate_{i}.txt")
         save_posterior(report.posterior, report.hyper, ppath, seed=config.seed + i)
-        posterior_paths.append(ppath)
         tpath = _out_path(config, f"trace_bivariate_{i}.csv")
         _write_trace(tpath, report.trace)
-        trace_paths.append(tpath)
 
     table_path = _out_path(config, "kld_table.csv")
     write_csv(table_path, ("target", "method", "direction", "kld"), table_rows)
     metrics_path = _out_path(config, "metrics.csv")
     _write_metrics(metrics_path, metrics)
-    return RunArtifacts(
-        metrics_path=metrics_path,
-        posterior_paths=tuple(posterior_paths),
-        trace_paths=tuple(trace_paths),
-        extra_paths=(table_path,),
-        metrics=metrics,
-    )
+    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _blr_problem(config, n_data=60, n_centres=20, width=1.0, noise_sd=0.2):
@@ -282,19 +297,12 @@ def _run_blr(config):
     _write_trace(tpath, report.trace)
     metrics_path = _out_path(config, "metrics.csv")
     _write_metrics(metrics_path, metrics)
-    return RunArtifacts(
-        metrics_path=metrics_path,
-        posterior_paths=(ppath,),
-        trace_paths=(tpath,),
-        extra_paths=(pred_path,),
-        metrics=metrics,
-    )
+    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _run_blr_overfit(config):
     """Monitor the bound on held-out draws for a well-sized and a small S."""
     x, y, design, model = _blr_problem(config)
-    trace_paths = []
     metrics = {}
     for s in dict.fromkeys((config.n_samples, 10)):
         fc = _fit_config(config, n_samples=s, n_holdout=config.n_holdout, tol=0.0)
@@ -302,17 +310,12 @@ def _run_blr_overfit(config):
         verdict = monitor_generalisation(report.trace)
         tpath = _out_path(config, f"trace_s{s}.csv")
         _write_trace(tpath, report.trace)
-        trace_paths.append(tpath)
         metrics[f"verdict_s{s}"] = verdict
         metrics[f"final_bound_s{s}"] = float(report.trace[-1][1])
         metrics[f"final_holdout_bound_s{s}"] = float(report.trace[-1][2])
     metrics_path = _out_path(config, "metrics.csv")
     _write_metrics(metrics_path, metrics)
-    return RunArtifacts(
-        metrics_path=metrics_path,
-        trace_paths=tuple(trace_paths),
-        metrics=metrics,
-    )
+    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _discover_splits(path):
@@ -368,8 +371,6 @@ def _run_classification(config, schema, n_classes, make_model, width=0.5,
     # synthetic tasks subsample so the stacked posterior stays small.
     n_centres = synth_n_centres if config.data is None else None
     accuracies = []
-    posterior_paths = []
-    trace_paths = []
     for i, (xtr, ytr, xte, yte) in enumerate(splits):
         design = RbfDesign.from_inputs(xtr, width, n_centres=n_centres)
         model = make_model(xtr, ytr, design)
@@ -379,17 +380,15 @@ def _run_classification(config, schema, n_classes, make_model, width=0.5,
             model,
             xte,
             yte,
-            n_draws=config.n_pred_draws,
+            n_draws=_N_PRED_DRAWS,
             seed=config.seed + i,
         )
         accuracies.append(acc)
         if len(splits) == 1 or i == 0:
             ppath = _out_path(config, f"posterior_split{i}.txt")
             save_posterior(report.posterior, report.hyper, ppath, seed=config.seed + i)
-            posterior_paths.append(ppath)
             tpath = _out_path(config, f"trace_split{i}.csv")
             _write_trace(tpath, report.trace)
-            trace_paths.append(tpath)
 
     acc_path = _out_path(config, "accuracies.csv")
     write_csv(acc_path, ("split", "accuracy"), list(enumerate(accuracies)))
@@ -400,13 +399,7 @@ def _run_classification(config, schema, n_classes, make_model, width=0.5,
     }
     metrics_path = _out_path(config, "metrics.csv")
     _write_metrics(metrics_path, metrics)
-    return RunArtifacts(
-        metrics_path=metrics_path,
-        posterior_paths=tuple(posterior_paths),
-        trace_paths=tuple(trace_paths),
-        extra_paths=(acc_path,),
-        metrics=metrics,
-    )
+    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _run_logistic(config):
@@ -503,8 +496,9 @@ def fit_cauchy_ppca(train, latent_dim, config, seed):
     fc = _fit_config(config, fix_alpha=True, init_alpha=1.0, init_mu=init_mu)
     report = fit(model, fc, seed=seed)
     fitted = report.model
-    fitted.params.latent_posteriors = split_latent_posterior(
-        report.posterior, train.shape[0], latent_dim
+    post = report.posterior
+    fitted.params.latent_posteriors = list(
+        zip(post.mu.reshape(-1, latent_dim), post.blocks)
     )
     return report, fitted
 
@@ -563,13 +557,7 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
     _write_trace(tpath, report.trace)
     metrics_path = _out_path(config, "metrics.csv")
     _write_metrics(metrics_path, metrics)
-    return RunArtifacts(
-        metrics_path=metrics_path,
-        posterior_paths=(ppath,),
-        trace_paths=(tpath,),
-        extra_paths=(err_path,),
-        metrics=metrics,
-    )
+    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _mean_draw_mse(post, model, inputs, targets, n_draws, rng):

@@ -51,7 +51,6 @@ class FitConfig:
     init_beta: float = 0.1
     init_factor_scale: float = 0.1
     init_mu: np.ndarray | None = None
-    init_factor: np.ndarray | None = None
     fix_alpha: bool = False
     fix_beta: bool = False
     ml_warm_start: bool = False
@@ -100,17 +99,6 @@ class FitReport:
     samples: SampleSet = field(repr=False, default=None)
 
 
-def _block_mask(blocks, m):
-    mask = np.zeros((m, m), dtype=bool)
-    offset = 0
-    for b in blocks:
-        mask[offset : offset + b, offset : offset + b] = True
-        offset += b
-    if offset != m:
-        raise ConfigError(f"posterior blocks {blocks} do not sum to dimension {m}")
-    return mask
-
-
 def _optimise_mu(model, post, hyper, samples, iters):
     def objective(mu_vec):
         cand = VariationalPosterior(mu_vec, post.L)
@@ -120,30 +108,22 @@ def _optimise_mu(model, post, hyper, samples, iters):
     return VariationalPosterior(res.x, post.L)
 
 
-def _optimise_factor(model, post, hyper, samples, iters, mask):
-    m = post.dim
-    sign0 = np.sign(np.linalg.slogdet(post.L)[0])
-
-    def unpack(x):
-        if mask is None:
-            return x.reshape(m, m)
-        factor = np.zeros((m, m))
-        factor[mask] = x
-        return factor
+def _optimise_factor(model, post, hyper, samples, iters):
+    sign0 = post.factor_slogdet[0]
 
     def objective(x):
-        factor = unpack(x)
-        sign, logdet = np.linalg.slogdet(factor)
+        cand = VariationalPosterior(post.mu, x.reshape(post.L.shape))
+        sign, logdet = cand.factor_slogdet
         if sign != sign0 or logdet < _LOG_DET_FLOOR:
             # Candidate crossed the singular barrier; reject the step.
             return -np.inf, np.zeros_like(x)
-        cand = VariationalPosterior(post.mu, factor)
         value, grad = _value_and_grad_L(model, cand, hyper, samples)
-        return value, grad[mask] if mask is not None else grad.ravel()
+        return value, grad.ravel()
 
-    x0 = post.L[mask] if mask is not None else post.L.ravel()
-    res = scg_maximise(objective, x0, max_iters=iters, grad_tol=_INNER_GRAD_TOL)
-    return VariationalPosterior(post.mu, unpack(res.x))
+    res = scg_maximise(
+        objective, post.L.ravel(), max_iters=iters, grad_tol=_INNER_GRAD_TOL
+    )
+    return VariationalPosterior(post.mu, res.x.reshape(post.L.shape))
 
 
 def _optimise_model_params(model, post, samples, iters):
@@ -182,10 +162,9 @@ def fit(model, config=None, seed=0):
         mu = np.asarray(config.init_mu, dtype=float).copy()
     else:
         mu = rng.standard_normal(m)
-    if config.init_factor is not None:
-        factor = np.asarray(config.init_factor, dtype=float).copy()
-    else:
-        factor = config.init_factor_scale * np.eye(m)
+    k = model.n_posterior_blocks
+    eye = np.eye(m) if k == 1 else np.tile(np.eye(m // k), (k, 1, 1))
+    factor = config.init_factor_scale * eye
 
     alpha = config.init_alpha if model.prior == "gaussian" else None
     beta = config.init_beta if isinstance(model, GaussianNoiseModel) else None
@@ -199,7 +178,6 @@ def fit(model, config=None, seed=0):
         mu = _ml_start(model, hyper, m)
 
     post = VariationalPosterior(mu, factor)
-    mask = _block_mask(model.posterior_blocks, m) if model.posterior_blocks else None
     has_model_params = (
         model.model_params is not None and config.optimise_model_params
     )
@@ -214,7 +192,7 @@ def fit(model, config=None, seed=0):
     iteration = 0
     for iteration in range(1, config.max_iter + 1):
         post = _optimise_mu(model, post, hyper, samples, config.inner_iters)
-        post = _optimise_factor(model, post, hyper, samples, config.inner_iters, mask)
+        post = _optimise_factor(model, post, hyper, samples, config.inner_iters)
         if model.prior == "gaussian" and not config.fix_alpha:
             hyper = Hyperparameters(alpha=update_alpha(post), beta=hyper.beta)
         if hyper.beta is not None and not config.fix_beta:

@@ -58,14 +58,17 @@ def write_csv(path, header, rows):
 
 
 def save_posterior(post, hyper, path, seed=None):
-    """Write a posterior and its hyperparameters as versioned structured text."""
+    """Write a posterior and its hyperparameters as versioned structured text.
+
+    The factor is written as M dense rows, block-diagonal factors included.
+    """
     lines = [f"{POSTERIOR_FORMAT} {POSTERIOR_VERSION}"]
     lines.append(f"m {post.dim}")
     lines.append(f"seed {'none' if seed is None else int(seed)}")
     lines.append(f"alpha {_fmt(hyper.alpha)}")
     lines.append(f"beta {_fmt(hyper.beta)}")
     lines.append("mu " + " ".join(_FLOAT_FMT.format(v) for v in post.mu))
-    for row in post.L:
+    for row in post.dense_factor():
         lines.append("L " + " ".join(_FLOAT_FMT.format(v) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 

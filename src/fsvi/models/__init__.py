@@ -3,7 +3,6 @@ from .cauchy_ppca import (
     CauchyPpcaModel,
     CauchyPpcaParams,
     cauchy_ppca_loglik,
-    split_latent_posterior,
 )
 from .classify import (
     LogisticModel,
@@ -43,7 +42,6 @@ __all__ = [
     "CauchyPpcaModel",
     "CauchyPpcaParams",
     "cauchy_ppca_loglik",
-    "split_latent_posterior",
     "SpectrumDecayModel",
     "synth_spectrum_data",
 ]

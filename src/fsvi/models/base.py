@@ -67,13 +67,13 @@ class TargetModel(abc.ABC):
         return self.grad_log_lik_batch(_one_row(w), *args)[0]
 
     @property
-    def posterior_blocks(self):
-        """Block sizes of a factorised posterior, or None for a full factor.
+    def n_posterior_blocks(self):
+        """Number K of equal diagonal blocks the posterior factor L has.
 
-        When set, the fit restricts the posterior factor L to this
-        block-diagonal support.
+        With K > 1 the fit keeps L block-diagonal, as a (K, dim/K, dim/K)
+        stack; K = 1 is a full factor.
         """
-        return None
+        return 1
 
     # Models with trainable internal parameters (beyond w) override these.
     @property

@@ -114,8 +114,8 @@ class CauchyPpcaModel(TargetModel):
         return self.n_data * self.latent_dim
 
     @property
-    def posterior_blocks(self):
-        return (self.latent_dim,) * self.n_data
+    def n_posterior_blocks(self):
+        return self.n_data
 
     def _residual_stats(self, w_batch):
         """Latents x, scaled residuals u = (y - x W^T - xi) / gamma, and 1 + u^2.
@@ -182,16 +182,3 @@ class CauchyPpcaModel(TargetModel):
         x = np.asarray(latents, dtype=float)
         return x @ self.params.loading.T + self.params.offset
 
-
-def split_latent_posterior(post, n_data, latent_dim):
-    """Per-datum (mu_n, L_n) pairs from a stacked block-diagonal posterior."""
-    if post.dim != n_data * latent_dim:
-        raise DimensionError(
-            f"posterior dimension {post.dim} != {n_data} x {latent_dim}"
-        )
-    out = []
-    for n in range(n_data):
-        lo = n * latent_dim
-        hi = lo + latent_dim
-        out.append((post.mu[lo:hi].copy(), post.L[lo:hi, lo:hi].copy()))
-    return out

@@ -101,7 +101,7 @@ class SoftmaxModel(TargetModel):
     """K-class classification with a categorical likelihood on RBF features.
 
     The posterior over the stacked weight vector factorises per class,
-    exposed through `posterior_blocks` as K blocks of n_features each.
+    exposed through `n_posterior_blocks` as K blocks of n_features each.
     """
 
     def __init__(self, inputs, onehot, design):
@@ -123,8 +123,8 @@ class SoftmaxModel(TargetModel):
         return self._k * self._phi.shape[1]
 
     @property
-    def posterior_blocks(self):
-        return (self._phi.shape[1],) * self._k
+    def n_posterior_blocks(self):
+        return self._k
 
     def _logits(self, w_batch):
         w = np.asarray(w_batch, dtype=float)

@@ -1,8 +1,11 @@
 """Gaussian variational posterior, fixed latent draws, and hyperparameters."""
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .exceptions import ConfigError, DimensionError, InvalidPosteriorError
 
@@ -15,7 +18,9 @@ _LOG_DET_FLOOR = np.log(_DET_FLOOR)
 class VariationalPosterior:
     """Gaussian q(w) = N(mu, L L^T) parameterised by its square factor L.
 
-    L is a general square matrix, not required to be triangular. Instances
+    L is either a dense (M, M) matrix, a full factor, or a (K, b, b) stack
+    of equal diagonal blocks with K b = M, a block-diagonal factor. Blocks
+    are general square matrices, not required to be triangular. Instances
     are treated as immutable; fitting code builds new ones instead of
     mutating in place.
     """
@@ -29,27 +34,54 @@ class VariationalPosterior:
         if self.mu.ndim != 1:
             raise DimensionError(f"mu must be a vector, got shape {self.mu.shape}")
         m = self.mu.size
-        if self.L.shape != (m, m):
+        shape = self.L.shape
+        full = shape == (m, m)
+        stacked = (
+            len(shape) == 3 and shape[1] == shape[2] and shape[0] * shape[1] == m
+        )
+        if not (full or stacked):
             raise DimensionError(
-                f"L must be {m}x{m} to match mu, got shape {self.L.shape}"
+                f"L must be {m}x{m}, or a (K, b, b) stack with K*b = {m}, "
+                f"to match mu; got shape {shape}"
             )
 
     @property
     def dim(self):
         return self.mu.size
 
+    @property
+    def blocks(self):
+        """The factor as a (K, b, b) stack of diagonal blocks; K = 1 if full."""
+        return self.L[None] if self.L.ndim == 2 else self.L
+
+    def dense_factor(self):
+        """The factor as one (M, M) matrix."""
+        return self.L if self.L.ndim == 2 else block_diag(*self.L)
+
+    @functools.cached_property
+    def factor_slogdet(self):
+        """(sign, ln|det L|) of the factor, from one LU per block."""
+        # Python reductions: numpy's cost more than the work for small K.
+        sign, logdet = np.linalg.slogdet(self.blocks)
+        return math.prod(sign.tolist()), sum(logdet.tolist())
+
     def log_abs_det_factor(self):
         """ln|det L| via pivoted LU factorisation.
 
         Raises InvalidPosteriorError when |det L| falls below 1e-300.
         """
-        sign, logdet = np.linalg.slogdet(self.L)
+        sign, logdet = self.factor_slogdet
         if sign == 0.0 or logdet < _LOG_DET_FLOOR:
             raise InvalidPosteriorError("posterior factor L is singular")
         return logdet
 
+    def second_moment(self):
+        """E_q[w^T w] = mu^T mu + tr(L L^T)."""
+        return float(self.mu @ self.mu) + float(np.sum(self.L * self.L))
+
     def covariance(self):
-        return self.L @ self.L.T
+        factor = self.dense_factor()
+        return factor @ factor.T
 
     def transform(self, z):
         """Map standard-normal draws z to parameter space, w = mu + L z.
@@ -62,7 +94,10 @@ class VariationalPosterior:
             raise DimensionError(
                 f"draws have dimension {z.shape[-1]}, posterior has {self.dim}"
             )
-        return self.mu + z @ self.L.T
+        blocks = self.blocks
+        k, b, _ = blocks.shape
+        per_block = z.reshape(-1, k, b).swapaxes(0, 1) @ blocks.swapaxes(-1, -2)
+        return self.mu + per_block.swapaxes(0, 1).reshape(z.shape)
 
     def sample(self, n_draws, rng):
         """Draw n_draws parameter vectors using the supplied Generator."""

@@ -70,11 +70,19 @@ def mc_kl_estimate(post, alpha, n_draws, seed):
     return float(np.mean(log_q - log_p))
 
 
-def random_posterior(rng, m, factor_scale=1.0):
-    """A random posterior with a well-conditioned factor."""
+def random_posterior(rng, m, factor_scale=1.0, n_blocks=None):
+    """A random posterior with a well-conditioned factor.
+
+    With `n_blocks` the factor is a (n_blocks, b, b) stack of diagonal blocks.
+    """
     mu = rng.standard_normal(m)
-    factor = factor_scale * (np.eye(m) + 0.3 * rng.standard_normal((m, m)))
-    return VariationalPosterior(mu, factor)
+    if n_blocks is None:
+        return VariationalPosterior(
+            mu, factor_scale * (np.eye(m) + 0.3 * rng.standard_normal((m, m)))
+        )
+    b = m // n_blocks
+    noise = 0.3 * rng.standard_normal((n_blocks, b, b))
+    return VariationalPosterior(mu, factor_scale * (np.eye(b) + noise))
 
 
 # ---------------------------------------------------------------- bound value
@@ -276,14 +284,82 @@ def test_gradients_match_finite_differences():
     )
     assert rel_err(g_mu, fd_mu) < 1e-5, f"mu gradient off by {rel_err(g_mu, fd_mu)}"
 
-    g_l = grad_L(model, post, hyper, samples)
-    fd_l = fd_grad(
-        lambda v: lower_bound_fs(
-            model, VariationalPosterior(post.mu, v.reshape(m, m)), hyper, samples
-        ),
-        post.L.ravel(),
-    ).reshape(m, m)
-    assert rel_err(g_l, fd_l) < 1e-5, f"L gradient off by {rel_err(g_l, fd_l)}"
+    # A full factor, and the same model under a stack of two 2x2 blocks.
+    for post in (post, random_posterior(rng, m, factor_scale=0.7, n_blocks=2)):
+        g_l = grad_L(model, post, hyper, samples)
+        assert g_l.shape == post.L.shape
+        fd_l = fd_grad(
+            lambda v, post=post: lower_bound_fs(
+                model,
+                VariationalPosterior(post.mu, v.reshape(post.L.shape)),
+                hyper,
+                samples,
+            ),
+            post.L.ravel(),
+        )
+        assert rel_err(g_l, fd_l) < 1e-5, f"L gradient off by {rel_err(g_l, fd_l)}"
+
+
+def _block_support(post):
+    """Boolean (M, M) mask of the entries inside the diagonal blocks."""
+    idx = np.arange(post.dim) // post.blocks.shape[1]
+    return idx[:, None] == idx[None, :]
+
+
+def test_block_factor_matches_its_dense_view(model_zoo):
+    rng = np.random.default_rng(29)
+    for name, model, hyper in model_zoo:
+        if model.n_posterior_blocks == 1:
+            continue
+        m = model.dim
+        block = random_posterior(
+            rng, m, factor_scale=0.3, n_blocks=model.n_posterior_blocks
+        )
+        dense = VariationalPosterior(block.mu, block.dense_factor())
+        assert dense.L.shape == (m, m), name
+        samples = SampleSet.generate(6, m, seed=31)
+
+        z = samples.draws
+        assert rel_err(block.transform(z), dense.transform(z)) < 1e-12, name
+        assert rel_err(block.transform(z[0]), dense.transform(z[0])) < 1e-12, name
+        assert rel_err(block.covariance(), dense.covariance()) < 1e-12, name
+        assert (
+            rel_err(block.log_abs_det_factor(), dense.log_abs_det_factor()) < 1e-12
+        ), name
+        assert rel_err(
+            lower_bound_fs(model, block, hyper, samples),
+            lower_bound_fs(model, dense, hyper, samples),
+        ) < 1e-12, name
+        assert rel_err(
+            grad_mu(model, block, hyper, samples),
+            grad_mu(model, dense, hyper, samples),
+        ) < 1e-12, name
+        g_block = grad_L(model, block, hyper, samples)
+        g_dense = grad_L(model, dense, hyper, samples)
+        assert g_block.shape == block.L.shape, name
+        support = _block_support(block)
+        # The dense gradient restricted to the blocks, in row-major order,
+        # is the stacked gradient.
+        assert rel_err(g_block.ravel(), g_dense[support]) < 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(4,), (2, 2, 3), (3, 2, 2), (2, 4, 4), (4, 1), (1, 1, 4, 4)],
+)
+def test_malformed_factor_is_a_dimension_error(shape):
+    with pytest.raises(DimensionError):
+        VariationalPosterior(np.zeros(4), np.ones(shape))
+
+
+def test_full_factor_is_one_block():
+    post = VariationalPosterior(np.zeros(3), 2.0 * np.eye(3))
+    assert post.blocks.shape == (1, 3, 3)
+    assert post.dense_factor() is post.L
+    stacked = VariationalPosterior(np.zeros(4), np.stack([np.eye(2), 3.0 * np.eye(2)]))
+    assert stacked.blocks is stacked.L
+    assert np.array_equal(stacked.dense_factor(), np.diag([1.0, 1.0, 3.0, 3.0]))
+    assert abs(stacked.log_abs_det_factor() - 2.0 * np.log(3.0)) < 1e-15
 
 
 def test_fused_bound_matches_public_bound_bitwise(model_zoo):

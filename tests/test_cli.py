@@ -1,9 +1,12 @@
 """Command-line behaviour: exit codes, artifacts, config-file merging."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fsvi.cli as cli
 from fsvi import load_posterior, synth_image_data
@@ -215,3 +218,179 @@ def test_config_must_be_an_object(tmp_path, capsys):
     code, _, err = run_cli(["--config", str(path)], capsys)
     assert code == 2
     assert "JSON object" in err
+
+
+def write_config(path, config):
+    path.write_text(json.dumps(config))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "abc"),
+        ("samples", "x"),
+        ("tol", "abc"),
+        ("samples", 2.5),
+        ("max_iter", True),
+    ],
+)
+def test_mistyped_config_value_is_a_config_error(tmp_path, capsys, key, value):
+    config = {"experiment": "blr", "seed": 0, "out": str(tmp_path / "o"), key: value}
+    code, _, err = run_cli(write_config(tmp_path / "run.json", config), capsys)
+    assert code == 2, err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert key.replace("samples", "n_samples") in lines[0]
+    assert not (tmp_path / "o").exists(), "a pipeline ran"
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Cheap values for every config key; each fuzzed config replaces at least
+# one of them with an invalid value, so no example reaches a fit.
+_VALID_CONFIG = {
+    "experiment": "blr",
+    "seed": 0,
+    "samples": 5,
+    "holdout_samples": 30,
+    "inner_iters": 1,
+    "max_iter": 1,
+    "tol": 0.0,
+}
+_OMIT = object()
+_WRONG_TYPES = st.one_of(
+    st.booleans(),
+    st.integers(-1000, 1000).map(lambda i: i + 0.5),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=1),
+)
+_BAD_COUNT = st.one_of(st.integers(max_value=0), _WRONG_TYPES)
+
+
+def _invalid_values(missing_dir):
+    return {
+        "experiment": st.one_of(
+            st.just(_OMIT),
+            st.none(),
+            st.integers(),
+            st.text(max_size=12).filter(lambda v: v not in cli.EXPERIMENT_KINDS),
+        ),
+        "seed": st.one_of(
+            st.just(_OMIT), st.none(), st.integers(max_value=-1), _WRONG_TYPES
+        ),
+        "out": st.one_of(
+            st.just(_OMIT), st.none(), st.just(""), st.just("o\0ut"), st.integers(),
+            st.lists(st.text(max_size=2), max_size=2),
+        ),
+        "data": st.one_of(
+            st.integers(),
+            st.booleans(),
+            st.lists(st.text(max_size=2), max_size=2),
+            st.text(alphabet="abc.-_", min_size=1, max_size=8).map(
+                lambda name: str(missing_dir / name)
+            ),
+            st.just("in\0put.csv"),
+        ),
+        "samples": _BAD_COUNT,
+        # Must exceed samples (5).
+        "holdout_samples": st.one_of(st.integers(max_value=5), _WRONG_TYPES),
+        "inner_iters": _BAD_COUNT,
+        "max_iter": _BAD_COUNT,
+        "tol": st.one_of(
+            st.floats(max_value=-1e-300),
+            st.sampled_from([math.nan, math.inf]),
+            st.booleans(),
+            st.text(max_size=4),
+            st.lists(st.floats(), max_size=2),
+        ),
+    }
+
+
+@st.composite
+def _bad_configs(draw, out_dir, missing_dir):
+    invalid = _invalid_values(missing_dir)
+    keys = draw(st.sets(st.sampled_from(sorted(cli._CONFIG_KEYS)), min_size=1))
+    config = dict(_VALID_CONFIG, out=out_dir)
+    for key in keys:
+        value = draw(invalid[key])
+        if value is _OMIT:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    return config
+
+
+@pytest.fixture
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _assert_clean_failure(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (2, 3, 4), f"exit code {code} for {argv}: {err}"
+    assert err.startswith("error:"), err
+
+
+def test_fuzzed_configs_exit_with_an_error_code(fuzz_dir, capsys):
+    out_dir = str(fuzz_dir / "out")
+    path = fuzz_dir / "run.json"
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_bad_configs(out_dir, fuzz_dir / "absent"))
+    def check(config):
+        _assert_clean_failure(write_config(path, config), capsys)
+
+    check()
+    assert not (fuzz_dir / "out").exists(), "a fuzzed config ran a pipeline"
+
+
+_CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _malformed_csvs(draw):
+    """A numeric CSV with one defect that the loader must reject."""
+    width = draw(st.integers(2, 4))
+    rows = draw(
+        st.lists(
+            st.lists(_CELL, min_size=width, max_size=width), min_size=1, max_size=5
+        )
+    )
+    defect = draw(st.sampled_from(["empty", "one column", "ragged", "token"]))
+    if defect == "empty":
+        rows = []
+    elif defect == "one column":
+        rows = [[row[0]] for row in rows]
+    elif defect == "ragged":
+        rows = rows + [draw(st.lists(_CELL, min_size=width + 1, max_size=width + 3))]
+    else:
+        token = draw(st.text(alphabet="ab-e.x ", min_size=1, max_size=4))
+        rows = rows + [[token] + [repr(1.0)] * (width - 1)]
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
+def test_fuzzed_malformed_csv_is_a_data_error(fuzz_dir, capsys):
+    path = fuzz_dir / "data.csv"
+    out_dir = fuzz_dir / "out"
+    argv = ["--experiment", "blr", "--seed", "0", "--out", str(out_dir),
+            "--samples", "5", "--max-iter", "1", "--data", str(path)]
+
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_malformed_csvs())
+    def check(text):
+        path.write_text(text)
+        _assert_clean_failure(argv, capsys)
+
+    check()
+    assert not out_dir.exists(), "a malformed CSV ran a pipeline"

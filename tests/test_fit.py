@@ -183,7 +183,9 @@ def test_softmax_factor_is_block_diagonal():
     report = fit(model, FitConfig(n_samples=10, max_iter=3), seed=0)
     m = model.dim
     block = design.n_features
-    factor = report.posterior.L
+    assert report.posterior.L.shape == (3, block, block)
+    factor = report.posterior.dense_factor()
+    assert factor.shape == (m, m)
     for i in range(m):
         for j in range(m):
             if i // block != j // block:

@@ -45,6 +45,21 @@ def test_posterior_round_trip_is_bit_exact(tmp_path):
         assert loaded_seed == seed
 
 
+def test_block_posterior_is_written_densely(tmp_path):
+    path = str(tmp_path / "post.txt")
+    rng = np.random.default_rng(4)
+    blocks = rng.standard_normal((3, 2, 2)) + np.eye(2)
+    post = VariationalPosterior(rng.standard_normal(6), blocks)
+    save_posterior(post, Hyperparameters(alpha=1.0), path, seed=1)
+    rows = [line for line in open(path) if line.startswith("L ")]
+    assert len(rows) == 6 and all(len(r.split()) == 7 for r in rows)
+    loaded, _, _ = load_posterior(path)
+    assert loaded.L.shape == (6, 6)
+    assert np.array_equal(loaded.L, post.dense_factor())
+    assert np.array_equal(loaded.mu, post.mu)
+    assert np.array_equal(loaded.covariance(), post.covariance())
+
+
 def test_posterior_none_fields_round_trip(tmp_path):
     path = str(tmp_path / "post.txt")
     post = random_posterior(0, m=2)

@@ -249,7 +249,7 @@ def test_softmax_posterior_blocks():
     x, labels = synth_classification_data(3, 15, seed=0)
     design = RbfDesign.from_inputs(x, 2.0, n_centres=2)
     model = SoftmaxModel(x, one_hot(labels, 3), design)
-    assert model.posterior_blocks == (design.n_features,) * 3
+    assert model.n_posterior_blocks == 3
     assert model.dim == 3 * design.n_features
 
 
