@@ -87,12 +87,12 @@ class TargetModel(abc.ABC):
         """(mean log-likelihood over w_batch, its model_params gradient)."""
         raise NotImplementedError(f"{type(self).__name__} has no model parameters")
 
-    def predict(self, w, inputs):
-        """Per-datum predictions at parameter vector w (model specific)."""
+    def predict_batch(self, w_batch, inputs):
+        """Per-datum predictions at each row of w_batch (model specific)."""
         raise NotImplementedError(f"{type(self).__name__} does not predict")
 
-    def predict_batch(self, w_batch, inputs):
-        return np.stack([self.predict(w, inputs) for w in np.asarray(w_batch)])
+    def predict(self, w, inputs):
+        return self.predict_batch(_one_row(w), inputs)[0]
 
 
 class GaussianNoiseModel(TargetModel):

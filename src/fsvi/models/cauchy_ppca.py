@@ -117,37 +117,46 @@ class CauchyPpcaModel(TargetModel):
     def n_posterior_blocks(self):
         return self.n_data
 
-    def _residual_stats(self, w_batch):
-        """Latents x, scaled residuals u = (y - x W^T - xi) / gamma, and 1 + u^2.
+    def _draw_stats(self, w_batch):
+        """Per draw s: latents x_s, u_s = (y - x_s W^T - xi) / gamma, and 1 + u_s^2.
 
-        One pass over the (S, N, d) residual tensor, built in place.
+        The draws are passed one at a time so each (N, d) slab stays in
+        cache; the two slabs are buffers reused across draws, so a consumer
+        may overwrite them but must copy anything it keeps.
         """
         w = np.asarray(w_batch, dtype=float)
         x = w.reshape(w.shape[0], self.n_data, self.latent_dim)
-        u = x @ self.params.loading.T
-        np.subtract(self._y, u, out=u)
-        u -= self.params.offset
-        u /= self.params.scale
-        denom = u * u
-        denom += 1.0
-        return x, u, denom
+        u = np.empty_like(self._y)
+        denom = np.empty_like(self._y)
+        for x_s in x:
+            np.matmul(x_s, self.params.loading.T, out=u)
+            np.subtract(self._y, u, out=u)
+            u -= self.params.offset
+            u /= self.params.scale
+            np.multiply(u, u, out=denom)
+            denom += 1.0
+            yield x_s, u, denom
 
-    # Consumers of the residual stats overwrite them: the value overwrites
-    # denom with its logarithm and the gradients overwrite u with
-    # t = u / denom, so `_values` must run last.
-    def _values(self, denom):
+    # The value overwrites denom with its logarithm and the gradients
+    # overwrite u with t = u / denom, so a draw's value is taken last.
+    def _value(self, denom):
         const = -self._y.size * (np.log(np.pi) + np.log(self.params.scale))
-        return const - np.sum(np.log(denom, out=denom), axis=(1, 2))
+        return const - np.sum(np.log(denom, out=denom))
 
     def log_lik_batch(self, w_batch):
-        _, _, denom = self._residual_stats(w_batch)
-        return self._values(denom)
+        stats = self._draw_stats(w_batch)
+        return np.array([self._value(denom) for *_, denom in stats])
 
     def log_lik_and_grad_batch(self, w_batch):
-        _, u, denom = self._residual_stats(w_batch)
-        t = np.divide(u, denom, out=u)
-        grads = (2.0 / self.params.scale) * (t @ self.params.loading)
-        return self._values(denom), grads.reshape(t.shape[0], -1)
+        s = len(w_batch)
+        values = np.empty(s)
+        grads = np.empty((s, self.n_data, self.latent_dim))
+        for i, (_, u, denom) in enumerate(self._draw_stats(w_batch)):
+            t = np.divide(u, denom, out=u)
+            np.matmul(t, self.params.loading, out=grads[i])
+            values[i] = self._value(denom)
+        grads *= 2.0 / self.params.scale
+        return values, grads.reshape(s, -1)
 
     @property
     def model_params(self):
@@ -163,19 +172,26 @@ class CauchyPpcaModel(TargetModel):
         return CauchyPpcaModel(self._y, CauchyPpcaParams(loading, offset, scale))
 
     def model_params_value_and_grad(self, w_batch):
-        x, u, denom = self._residual_stats(w_batch)
-        s = x.shape[0]
+        s = len(w_batch)
         gamma = self.params.scale
-        # d/d ln(gamma) = gamma * d/d gamma.
-        q = u * u
-        q -= 1.0
-        q /= denom
-        grad_rho = float(np.sum(q)) / s
-        t = np.divide(u, denom, out=u)
-        grad_w = (2.0 / gamma) * np.einsum("snd,snq->dq", t, x) / s
-        grad_xi = (2.0 / gamma) * t.sum(axis=(0, 1)) / s
-        grad = np.concatenate([grad_w.ravel(), grad_xi, [grad_rho]])
-        return float(np.mean(self._values(denom))), grad
+        values = np.empty(s)
+        grad_w = np.zeros(self.params.loading.shape)
+        grad_xi = np.zeros(self.params.offset.shape)
+        grad_rho = 0.0
+        for i, (x_s, u, denom) in enumerate(self._draw_stats(w_batch)):
+            # d/d ln(gamma) = gamma * d/d gamma.
+            q = u * u
+            q -= 1.0
+            q /= denom
+            grad_rho += np.sum(q)
+            t = np.divide(u, denom, out=u)
+            grad_w += t.T @ x_s
+            grad_xi += t.sum(axis=0)
+            values[i] = self._value(denom)
+        grad_w = (2.0 / gamma) * grad_w / s
+        grad_xi = (2.0 / gamma) * grad_xi / s
+        grad = np.concatenate([grad_w.ravel(), grad_xi, [grad_rho / s]])
+        return float(np.mean(values)), grad
 
     def reconstruct(self, latents):
         """Map latent coordinates back to data space."""

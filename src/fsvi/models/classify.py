@@ -126,30 +126,44 @@ class SoftmaxModel(TargetModel):
     def n_posterior_blocks(self):
         return self._k
 
-    def _logits(self, w_batch):
+    def _logits(self, w_batch, phi):
+        """Logits of each draw on feature rows phi, shape (S, K, n), by one matmul."""
         w = np.asarray(w_batch, dtype=float)
-        return np.einsum(
-            "skm,nm->snk", w.reshape(w.shape[0], self._k, -1), self._phi
-        )
+        s = w.shape[0]
+        return (w.reshape(s * self._k, -1) @ phi.T).reshape(s, self._k, -1)
 
-    def _values(self, logits):
-        fit = np.sum(logits * self._y[None, :, :], axis=(1, 2))
-        return fit - np.sum(logsumexp(logits, axis=2), axis=1)
+    def _values(self, logits, top, z):
+        fit = np.sum(logits * self._y.T, axis=(1, 2))
+        return fit - np.sum(top + np.log(z), axis=(1, 2))
 
     def log_lik_batch(self, w_batch):
-        return self._values(self._logits(w_batch))
+        logits = self._logits(w_batch, self._phi)
+        top, _, z = _shifted_exp(logits)
+        return self._values(logits, top, z)
 
     def log_lik_and_grad_batch(self, w_batch):
-        logits = self._logits(w_batch)
-        diff = self._y[None, :, :] - softmax(logits, axis=2)
-        grads = np.einsum("snk,nm->skm", diff, self._phi)
-        return self._values(logits), grads.reshape(logits.shape[0], -1)
+        logits = self._logits(w_batch, self._phi)
+        top, e, z = _shifted_exp(logits)
+        diff = self._y.T - e / z
+        s = logits.shape[0]
+        grads = diff.reshape(s * self._k, -1) @ self._phi
+        return self._values(logits, top, z), grads.reshape(s, -1)
 
-    def predict(self, w, inputs):
-        """Class probabilities, shape (n, K); rows sum to one."""
-        phi = self.design.matrix(inputs)
-        w_mat = np.asarray(w, dtype=float).reshape(self._k, -1)
-        return softmax(phi @ w_mat.T, axis=1)
+    def predict_batch(self, w_batch, inputs):
+        """Class probabilities, shape (S, n, K); rows sum to one."""
+        _, e, z = _shifted_exp(self._logits(w_batch, self.design.matrix(inputs)))
+        return (e / z).transpose(0, 2, 1)
+
+
+def _shifted_exp(logits):
+    """(max, exp(logits - max), sum of that exp) over the class axis 1.
+
+    Shared by the log-normaliser max + ln(sum) and the class probabilities
+    exp / sum, so one pass serves both.
+    """
+    top = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - top)
+    return top, e, e.sum(axis=1, keepdims=True)
 
 
 def one_hot(labels, n_classes):

@@ -91,11 +91,8 @@ class SpectrumDecayModel(GaussianNoiseModel):
             ]
         )
 
-    def predict(self, w, inputs):
-        """Amplitudes at (source_idx, distance, frequency) rows of `inputs`."""
-        return self.predict_batch(np.asarray(w, dtype=float)[None, :], inputs)[0]
-
     def predict_batch(self, w_batch, inputs):
+        """Amplitudes at (source_idx, distance, frequency) rows of `inputs`."""
         e, r, f = self._unpack_inputs(inputs)
         return self._amplitude_batch(w_batch, e, np.log(r), f)[0]
 

@@ -129,7 +129,14 @@ class SampleSet:
         if n_draws < 1:
             raise ConfigError(f"need at least one draw, got {n_draws}")
         rng = np.random.default_rng(seed)
-        return cls(draws=rng.standard_normal((n_draws, dim)), seed=seed)
+        try:
+            draws = rng.standard_normal((n_draws, dim))
+        except (MemoryError, ValueError) as exc:
+            # numpy refuses shapes it cannot address with ValueError.
+            raise ConfigError(
+                f"cannot allocate {n_draws} draws of dimension {dim}: {exc}"
+            ) from exc
+        return cls(draws=draws, seed=seed)
 
     @property
     def size(self):

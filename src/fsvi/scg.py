@@ -39,7 +39,8 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
     ----------
     fun : callable
         Maps a point x to a pair (value, gradient) of the objective being
-        maximised. Non-finite values mid-run are treated as rejected steps.
+        maximised. A non-finite value or gradient mid-run, at a trial step
+        or at a curvature probe, is treated as a rejected step.
     x0 : array_like
         Starting point.
     max_iters : int
@@ -72,6 +73,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
     success = True
     failures = 0
     delta = 0.0
+    probe = _SIGMA0
     k = 0
     converged = float(np.linalg.norm(r)) < grad_tol
 
@@ -86,11 +88,18 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
             p_sq = float(p @ p)
             if p_sq < 1e-300 or mu <= 0.0:
                 break
-            sigma = _SIGMA0 / np.sqrt(p_sq)
-            _, g_probe = fun(x + sigma * p)
+            sigma = probe / np.sqrt(p_sq)
+            f_probe, g_probe = fun(x + sigma * p)
             n_evals += 1
-            if not np.all(np.isfinite(g_probe)):
-                g_probe = np.zeros_like(r)
+            if not (np.isfinite(f_probe) and np.all(np.isfinite(g_probe))):
+                # No curvature estimate next to x: a rejected step. The
+                # retry probes along p again, ten times closer.
+                failures += 1
+                if failures >= _MAX_FAILURES:
+                    break
+                probe *= 0.1
+                continue
+            probe = _SIGMA0
             # Curvature of E along p: s = (E'(x + sigma p) - E'(x)) / sigma.
             s = (r - np.asarray(g_probe, dtype=float)) / sigma
             delta = float(p @ s)

@@ -96,6 +96,16 @@ def test_invalid_sample_count_is_a_config_error(tmp_path, capsys):
     assert "n_samples" in err
 
 
+def test_unaffordable_sample_count_is_a_config_error(tmp_path, capsys):
+    # 1e15 draws of dimension 21 is 149 PiB: the allocator refuses at once.
+    code, _, err = run_cli(
+        blr_args(tmp_path, ["--samples", "1000000000000000"]), capsys
+    )
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot allocate"), err
+
+
 def test_unknown_experiment_is_rejected_by_the_parser(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--experiment", "nonsense", "--seed", "0", "--out", str(tmp_path)])

@@ -1,10 +1,12 @@
 """Model likelihoods: hand-computed values, gradient contracts, generators."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
+from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 import fsvi.models
@@ -245,6 +247,21 @@ def test_predicted_probabilities_are_normalised():
     assert np.max(np.abs(bprobs.sum(axis=1) - 1.0)) < 1e-12
 
 
+def test_softmax_batch_predictions_match_per_draw_softmax():
+    x, labels = synth_classification_data(3, 30, seed=7)
+    design = RbfDesign.from_inputs(x, 2.0, n_centres=4)
+    model = SoftmaxModel(x, one_hot(labels, 3), design)
+    w = np.random.default_rng(9).standard_normal((5, model.dim))
+    grid = np.random.default_rng(10).standard_normal((11, 2))
+    probs = model.predict_batch(w, grid)
+    assert probs.shape == (5, 11, 3)
+    phi = design.matrix(grid)
+    for row, p in zip(w, probs):
+        logits = phi @ row.reshape(3, -1).T
+        ref = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        assert np.max(np.abs(p - ref)) < 1e-12
+
+
 def test_softmax_posterior_blocks():
     x, labels = synth_classification_data(3, 15, seed=0)
     design = RbfDesign.from_inputs(x, 2.0, n_centres=2)
@@ -341,6 +358,86 @@ def test_cauchy_model_params_round_trip():
     assert np.allclose(rebuilt.params.loading, params.loading)
     assert np.allclose(rebuilt.params.offset, params.offset)
     assert abs(rebuilt.params.scale - params.scale) < 1e-12
+
+
+def _cauchy_case(n=30, d=100, q=2):
+    rng = np.random.default_rng(14)
+    params = CauchyPpcaParams(rng.standard_normal((d, q)), rng.standard_normal(d), 0.4)
+    data = rng.standard_normal((n, q)) @ params.loading.T + params.offset
+    data += 0.2 * rng.standard_cauchy(data.shape)
+    return CauchyPpcaModel(data, params), rng
+
+
+def _cauchy_passes(model):
+    return {
+        "log_lik_batch": model.log_lik_batch,
+        "log_lik_and_grad_batch": model.log_lik_and_grad_batch,
+        "model_params_value_and_grad": model.model_params_value_and_grad,
+    }
+
+
+@pytest.mark.parametrize("s", [1, 3, 100])
+def test_cauchy_passes_match_per_draw_reference(s):
+    # Each pass walks the draws one at a time through reused buffers; every
+    # row and the draw average must still be the per-draw likelihood's.
+    model, rng = _cauchy_case()
+    w = rng.standard_normal((s, model.dim))
+    refs = [
+        cauchy_ppca_loglik(row.reshape(model.n_data, -1), model.params, model.data)
+        for row in w
+    ]
+    ref_values = np.array([r[0] for r in refs])
+    ref_grads = np.array([r[1].ravel() for r in refs])
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+    assert close(model.log_lik_batch(w), ref_values)
+    values, grads = model.log_lik_and_grad_batch(w)
+    assert close(values, ref_values)
+    assert rel_err(grads, ref_grads) < 1e-12
+
+    value, grad = model.model_params_value_and_grad(w)
+    d, q = model.params.loading.shape
+    ref_theta = np.concatenate(
+        [
+            np.mean([r[2] for r in refs], axis=0).ravel(),
+            np.mean([r[3] for r in refs], axis=0),
+            # d/d ln(gamma) = gamma * d/d gamma.
+            [model.params.scale * np.mean([r[4] for r in refs])],
+        ]
+    )
+    assert close(np.array([value]), np.array([np.mean(ref_values)]))
+    for part in (slice(0, d * q), slice(d * q, d * q + d), slice(-1, None)):
+        assert rel_err(grad[part], ref_theta[part]) < 1e-12
+
+
+def test_cauchy_passes_return_fresh_arrays():
+    # The per-draw buffers are reused inside a call; none may leak out.
+    model, rng = _cauchy_case()
+    w = rng.standard_normal((4, model.dim))
+    for name, pass_ in _cauchy_passes(model).items():
+        first, second = pass_(w), pass_(w)
+        a_parts = first if isinstance(first, tuple) else (first,)
+        b_parts = second if isinstance(second, tuple) else (second,)
+        for a, b in zip(a_parts, b_parts):
+            assert np.array_equal(a, b), name
+            assert not np.shares_memory(a, b), name
+
+
+def test_cauchy_pass_memory_is_one_draw_slab():
+    # A pass over S = 100 draws holds O(N d), not O(S N d), at once.
+    model, rng = _cauchy_case()
+    w = rng.standard_normal((100, model.dim))
+    slab = model.data.nbytes
+    for name, pass_ in _cauchy_passes(model).items():
+        tracemalloc.start()
+        try:
+            pass_(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * slab, f"{name}: peak {peak} bytes, slab {slab}"
 
 
 def test_cauchy_reconstruct():

@@ -5,6 +5,7 @@ import pytest
 
 from fsvi import scg_maximise
 from fsvi.exceptions import InvalidStartError
+from fsvi.scg import _MAX_FAILURES
 
 
 def neg_quadratic(x):
@@ -108,3 +109,54 @@ def test_already_at_maximum_returns_immediately():
     assert res.converged
     assert res.iterations == 0
     assert np.all(res.x == 0.0)
+
+
+def _fails_off(edge, failure):
+    """-||x - (1, 1)||^2, but `failure` (value, gradient) in x[0] > edge, x[1] < 0.5.
+
+    From the origin the gradient points into the failing corner, while the
+    maximiser lies outside it.
+    """
+
+    def fun(x):
+        if x[0] > edge and x[1] < 0.5:
+            return failure(x)
+        d = x - 1.0
+        return -float(d @ d), -2.0 * d
+
+    return fun
+
+
+_FAILURES = {
+    "nan-gradient": lambda x: (0.0, np.full_like(x, np.nan)),
+    "nan-value": lambda x: (np.nan, np.ones_like(x)),
+    # The form the factor barrier in `fit` returns.
+    "barrier": lambda x: (-np.inf, np.zeros_like(x)),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_failed_probes_are_rejected_steps(failure):
+    # With the edge at the start, every probe along the gradient fails: each
+    # counts as one rejected step, and the run ends after _MAX_FAILURES of
+    # them, at the start.
+    fun = _fails_off(0.0, _FAILURES[failure])
+    x0 = np.zeros(2)
+    evaluated = []
+    res = scg_maximise(lambda x: evaluated.append(x.copy()) or fun(x), x0)
+    assert not res.converged
+    assert np.array_equal(res.x, x0) and res.value == -2.0
+    assert res.n_evals == len(evaluated) == 1 + _MAX_FAILURES
+    # Never a trial step built from a failed probe: every call after the
+    # first is a probe along the gradient, each closer than the last.
+    steps = [np.linalg.norm(x - x0) for x in evaluated[1:]]
+    assert all(b < a for a, b in zip(steps, steps[1:]))
+
+
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_objective_failing_just_off_the_start(failure):
+    # Non-finite a hair from the start along the gradient: the probes close
+    # in until one is finite, and the step it scales reaches the maximiser.
+    res = scg_maximise(_fails_off(1e-7, _FAILURES[failure]), np.zeros(2))
+    assert res.converged
+    assert np.max(np.abs(res.x - 1.0)) < 1e-8, f"stopped at {res.x}"
