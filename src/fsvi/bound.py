@@ -18,9 +18,7 @@ from .exceptions import (
     DegeneratePosteriorError,
     DimensionError,
 )
-from .models.base import GaussianNoiseModel, _noise_args
-
-_LN_2PI = np.log(2.0 * np.pi)
+from .models.base import GaussianNoiseModel, _LN_2PI, _noise_args
 
 
 def _check_dims(model, post, samples):

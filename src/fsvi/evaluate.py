@@ -10,8 +10,8 @@ from .exceptions import (
     DataFormatError,
     DimensionError,
 )
+from .models.base import _LN_2PI
 
-_LN_2PI = np.log(2.0 * np.pi)
 _MIN_RESOLUTION = 64
 _COVERAGE = 1.0 - 1e-6
 

@@ -6,7 +6,6 @@ randomness flows from the single config seed, so re-running a config
 reproduces the metric files byte for byte.
 """
 
-import math
 import numbers
 import os
 import pathlib
@@ -75,10 +74,6 @@ BIVARIATE_COEFFS = (
 )
 
 
-# Posterior draws each classification accuracy is averaged over.
-_N_PRED_DRAWS = 200
-
-
 def _require_type(name, value, types, what):
     # bool is an Integral (and a Real) in Python, but never a valid count.
     if isinstance(value, bool) or not isinstance(value, types):
@@ -117,6 +112,8 @@ class ExperimentConfig:
             raise ConfigError("out_dir is mandatory")
         _check_path("out_dir", self.out_dir)
         if self.data is not None:
+            if self.kind == "bivariate":
+                raise ConfigError("bivariate takes no data: its targets are built in")
             _check_path("data", self.data)
         for name in ("seed", "n_samples", "n_holdout", "inner_iters", "max_iter"):
             if getattr(self, name) is not None:
@@ -127,23 +124,16 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples is None:
             self.n_samples = _DEFAULT_SAMPLES[self.kind]
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.n_holdout is None:
             self.n_holdout = 500 if self.kind == "blr-overfit" else 5 * self.n_samples
+        if self.max_iter is None:
+            self.max_iter = _DEFAULT_MAX_ITER[self.kind]
+        _fit_config(self)  # FitConfig checks the ranges of the fit settings.
         if self.n_holdout <= self.n_samples:
             raise ConfigError(
                 f"holdout draws ({self.n_holdout}) must exceed fit draws "
                 f"({self.n_samples}) for the monitor to mean anything"
             )
-        if self.inner_iters < 1:
-            raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if self.max_iter is None:
-            self.max_iter = _DEFAULT_MAX_ITER[self.kind]
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (math.isfinite(self.tol) and self.tol >= 0.0):
-            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass
@@ -167,23 +157,18 @@ def _fit_config(config, **overrides):
 
 
 def _out_path(config, name):
-    out = pathlib.Path(config.out_dir)
-    return str(out / name)
+    return str(pathlib.Path(config.out_dir) / name)
 
 
-def _write_trace(path, trace):
+def _save_fit(config, report, trace_name, posterior_name=None, seed=None):
+    """Write a fit's trace CSV and, when named, its posterior file."""
+    if posterior_name is not None:
+        path = _out_path(config, posterior_name)
+        save_posterior(report.posterior, report.hyper, path, seed=seed)
     write_csv(
-        path,
+        _out_path(config, trace_name),
         ("iteration", "bound", "holdout_bound"),
-        [(it, float(b), float(h)) for it, b, h in trace],
-    )
-
-
-def _write_metrics(path, metrics):
-    write_csv(
-        path,
-        ("metric", "value"),
-        [(k, v if isinstance(v, str) else float(v)) for k, v in metrics.items()],
+        [(it, float(b), float(h)) for it, b, h in report.trace],
     )
 
 
@@ -203,7 +188,10 @@ def mc_accuracy(post, model, inputs, labels, n_draws=200, seed=0):
 
 
 def run_experiment(config):
-    """Dispatch a config to its pipeline and return the written artifacts."""
+    """Run a config's pipeline, write its `metrics.csv`, return the artifacts.
+
+    Each pipeline writes its own files and returns its metrics dict.
+    """
     runners = {
         "bivariate": _run_bivariate,
         "blr": _run_blr,
@@ -212,7 +200,14 @@ def run_experiment(config):
         "multiclass": _run_multiclass,
         "cauchy-ppca": _run_cauchy_ppca,
     }
-    return runners[config.kind](config)
+    metrics = runners[config.kind](config)
+    metrics_path = _out_path(config, "metrics.csv")
+    write_csv(
+        metrics_path,
+        ("metric", "value"),
+        [(k, v if isinstance(v, str) else float(v)) for k, v in metrics.items()],
+    )
+    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _run_bivariate(config):
@@ -238,16 +233,12 @@ def _run_bivariate(config):
                 table_rows.append((i, method, direction, float(kld)))
                 metrics[f"kld_{method}_{direction}_target{i}"] = float(kld)
 
-        ppath = _out_path(config, f"posterior_bivariate_{i}.txt")
-        save_posterior(report.posterior, report.hyper, ppath, seed=config.seed + i)
-        tpath = _out_path(config, f"trace_bivariate_{i}.csv")
-        _write_trace(tpath, report.trace)
+        _save_fit(config, report, f"trace_bivariate_{i}.csv",
+                  f"posterior_bivariate_{i}.txt", seed=config.seed + i)
 
     table_path = _out_path(config, "kld_table.csv")
     write_csv(table_path, ("target", "method", "direction", "kld"), table_rows)
-    metrics_path = _out_path(config, "metrics.csv")
-    _write_metrics(metrics_path, metrics)
-    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
+    return metrics
 
 
 def _blr_problem(config, n_data=60, n_centres=20, width=1.0, noise_sd=0.2):
@@ -291,13 +282,8 @@ def _run_blr(config):
         ("x", "mean_fit", "mean_exact", "sd_fit"),
         np.column_stack([grid, mean_fit, mean_exact, sd_fit]).tolist(),
     )
-    ppath = _out_path(config, "posterior_blr.txt")
-    save_posterior(post, hyper, ppath, seed=config.seed)
-    tpath = _out_path(config, "trace_blr.csv")
-    _write_trace(tpath, report.trace)
-    metrics_path = _out_path(config, "metrics.csv")
-    _write_metrics(metrics_path, metrics)
-    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
+    _save_fit(config, report, "trace_blr.csv", "posterior_blr.txt", seed=config.seed)
+    return metrics
 
 
 def _run_blr_overfit(config):
@@ -305,17 +291,14 @@ def _run_blr_overfit(config):
     x, y, design, model = _blr_problem(config)
     metrics = {}
     for s in dict.fromkeys((config.n_samples, 10)):
-        fc = _fit_config(config, n_samples=s, n_holdout=config.n_holdout, tol=0.0)
+        fc = _fit_config(config, n_samples=s, tol=0.0)
         report = fit(model, fc, seed=config.seed)
         verdict = monitor_generalisation(report.trace)
-        tpath = _out_path(config, f"trace_s{s}.csv")
-        _write_trace(tpath, report.trace)
+        _save_fit(config, report, f"trace_s{s}.csv")
         metrics[f"verdict_s{s}"] = verdict
         metrics[f"final_bound_s{s}"] = float(report.trace[-1][1])
         metrics[f"final_holdout_bound_s{s}"] = float(report.trace[-1][2])
-    metrics_path = _out_path(config, "metrics.csv")
-    _write_metrics(metrics_path, metrics)
-    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
+    return metrics
 
 
 def _discover_splits(path):
@@ -375,50 +358,29 @@ def _run_classification(config, schema, n_classes, make_model, width=0.5,
         design = RbfDesign.from_inputs(xtr, width, n_centres=n_centres)
         model = make_model(xtr, ytr, design)
         report = fit(model, _fit_config(config), seed=config.seed + i)
-        acc = mc_accuracy(
-            report.posterior,
-            model,
-            xte,
-            yte,
-            n_draws=_N_PRED_DRAWS,
-            seed=config.seed + i,
+        accuracies.append(
+            mc_accuracy(report.posterior, model, xte, yte, seed=config.seed + i)
         )
-        accuracies.append(acc)
-        if len(splits) == 1 or i == 0:
-            ppath = _out_path(config, f"posterior_split{i}.txt")
-            save_posterior(report.posterior, report.hyper, ppath, seed=config.seed + i)
-            tpath = _out_path(config, f"trace_split{i}.csv")
-            _write_trace(tpath, report.trace)
+        if i == 0:
+            _save_fit(config, report, f"trace_split{i}.csv",
+                      f"posterior_split{i}.txt", seed=config.seed + i)
 
     acc_path = _out_path(config, "accuracies.csv")
     write_csv(acc_path, ("split", "accuracy"), list(enumerate(accuracies)))
-    metrics = {
+    return {
         "mean_accuracy": float(np.mean(accuracies)),
         "std_accuracy": float(np.std(accuracies)),
         "n_splits": float(len(accuracies)),
     }
-    metrics_path = _out_path(config, "metrics.csv")
-    _write_metrics(metrics_path, metrics)
-    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _run_logistic(config):
-    return _run_classification(
-        config,
-        "binary",
-        None,
-        lambda x, y, design: LogisticModel(x, y, design),
-        synth_n_centres=25,
-    )
+    return _run_classification(config, "binary", None, LogisticModel, synth_n_centres=25)
 
 
 def _run_multiclass(config, n_classes=3):
     return _run_classification(
-        config,
-        "one-hot",
-        n_classes,
-        lambda x, y, design: SoftmaxModel(x, y, design),
-        synth_n_centres=20,
+        config, "one-hot", n_classes, SoftmaxModel, synth_n_centres=20
     )
 
 
@@ -464,17 +426,15 @@ def corrupt_pixels(images, fraction, seed, low=0.0, high=255.0):
     return out
 
 
-def _fit_latents(data, params, config, seed, init_mu=None):
-    """Posterior over latent coordinates with model parameters held fixed."""
-    model = CauchyPpcaModel(data, params)
-    fc = _fit_config(
-        config,
-        fix_alpha=True,
-        init_alpha=1.0,
-        optimise_model_params=False,
-        init_mu=init_mu,
-    )
-    return fit(model, fc, seed=seed), model
+def _fit_latents(data, params, config, seed, init_mu, optimise_model_params=True):
+    """Fit the latent posterior of a Cauchy PPCA model from `init_mu`.
+
+    The loading, offset and scale in `params` train on the same bound
+    unless `optimise_model_params` is off.
+    """
+    fc = _fit_config(config, fix_alpha=True, init_alpha=1.0, init_mu=init_mu,
+                     optimise_model_params=optimise_model_params)
+    return fit(CauchyPpcaModel(data, params), fc, seed=seed)
 
 
 def fit_cauchy_ppca(train, latent_dim, config, seed):
@@ -482,6 +442,7 @@ def fit_cauchy_ppca(train, latent_dim, config, seed):
 
     Starts from the closed-form Gaussian-noise solution and a robust scale
     estimate of its residuals, then optimises everything on the bound.
+    Returns the fit report and the fitted model.
     """
     warm = ml_ppca_fit(train, latent_dim)
     residuals = train - warm.reconstruct(train)
@@ -491,16 +452,8 @@ def fit_cauchy_ppca(train, latent_dim, config, seed):
         warm.loading.T @ warm.loading + warm.noise_variance * np.eye(latent_dim),
         warm.loading.T @ (train - warm.offset).T,
     ).T.ravel()
-
-    model = CauchyPpcaModel(train, params)
-    fc = _fit_config(config, fix_alpha=True, init_alpha=1.0, init_mu=init_mu)
-    report = fit(model, fc, seed=seed)
-    fitted = report.model
-    post = report.posterior
-    fitted.params.latent_posteriors = list(
-        zip(post.mu.reshape(-1, latent_dim), post.blocks)
-    )
-    return report, fitted
+    report = _fit_latents(train, params, config, seed, init_mu)
+    return report, report.model
 
 
 def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
@@ -527,11 +480,9 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
     test_init = np.linalg.lstsq(
         fitted.params.loading, (test_c - fitted.params.offset).T, rcond=None
     )[0].T.ravel()
-    test_report, test_model = _fit_latents(
-        test_c, fitted.params, config, config.seed + 2, init_mu=test_init
-    )
-    test_latents = test_report.posterior.mu.reshape(-1, latent_dim)
-    rec_cauchy = test_model.reconstruct(test_latents)
+    test_report = _fit_latents(test_c, fitted.params, config, config.seed + 2,
+                               test_init, optimise_model_params=False)
+    rec_cauchy = fitted.reconstruct(test_report.posterior.mu.reshape(-1, latent_dim))
     rec_gauss = gauss.reconstruct(test_c)
 
     err_cauchy = [
@@ -545,19 +496,14 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
         ("image", "cauchy_error", "gaussian_error"),
         [(i, float(c), float(g)) for i, (c, g) in enumerate(zip(err_cauchy, err_gauss))],
     )
-    metrics = {
+    _save_fit(config, report, "trace_train.csv", "posterior_train_latents.txt",
+              seed=config.seed)
+    return {
         "mean_error_cauchy": float(np.mean(err_cauchy)),
         "mean_error_gaussian": float(np.mean(err_gauss)),
         "scale": float(fitted.params.scale),
         "final_bound": float(report.trace[-1][1]),
     }
-    ppath = _out_path(config, "posterior_train_latents.txt")
-    save_posterior(report.posterior, report.hyper, ppath, seed=config.seed)
-    tpath = _out_path(config, "trace_train.csv")
-    _write_trace(tpath, report.trace)
-    metrics_path = _out_path(config, "metrics.csv")
-    _write_metrics(metrics_path, metrics)
-    return RunArtifacts(metrics_path=metrics_path, metrics=metrics)
 
 
 def _mean_draw_mse(post, model, inputs, targets, n_draws, rng):

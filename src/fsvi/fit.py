@@ -8,6 +8,7 @@ tolerance. A second, larger draw set is scored every iteration so
 generalisation of the bound can be monitored afterwards.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .exceptions import (
     InsufficientDataError,
     NumericalFailureError,
 )
-from .models.base import GaussianNoiseModel, _noise_args
+from .models.base import GaussianNoiseModel
 from .posterior import (
     _LOG_DET_FLOOR,
     Hyperparameters,
@@ -53,7 +54,6 @@ class FitConfig:
     init_mu: np.ndarray | None = None
     fix_alpha: bool = False
     fix_beta: bool = False
-    ml_warm_start: bool = False
     optimise_model_params: bool = True
 
     def __post_init__(self):
@@ -67,8 +67,9 @@ class FitConfig:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.inner_iters < 1:
             raise ConfigError(f"inner_iters must be >= 1, got {self.inner_iters}")
-        if self.tol < 0.0:
-            raise ConfigError(f"tol must be >= 0, got {self.tol}")
+        # Compared, not converted: float() overflows on a huge int.
+        if not 0.0 <= self.tol <= sys.float_info.max:
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if not self.init_alpha > 0.0:
             raise ConfigError(f"init_alpha must be positive, got {self.init_alpha}")
         if not self.init_beta > 0.0:
@@ -138,15 +139,6 @@ def _optimise_model_params(model, post, samples, iters):
     return model.with_model_params(res.x)
 
 
-def _ml_start(model, hyper, dim, iters=200):
-    args = _noise_args(model, hyper)
-
-    def objective(w):
-        return model.log_lik_and_grad(w, *args)
-
-    return scg_maximise(objective, np.zeros(dim), max_iters=iters, grad_tol=1e-8).x
-
-
 def fit(model, config=None, seed=0):
     """Fit a Gaussian posterior to `model` by maximising the finite-sample bound.
 
@@ -173,9 +165,6 @@ def fit(model, config=None, seed=0):
     seed_train, seed_holdout = (int(s) for s in rng.integers(2**63, size=2))
     samples = SampleSet.generate(config.n_samples, m, seed_train)
     holdout = SampleSet.generate(config.n_holdout, m, seed_holdout)
-
-    if config.ml_warm_start:
-        mu = _ml_start(model, hyper, m)
 
     post = VariationalPosterior(mu, factor)
     has_model_params = (

@@ -7,7 +7,7 @@ offset, and noise scale are model parameters trained by gradient steps on
 the same bound (the scale in log-space to stay positive).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +17,11 @@ from .base import TargetModel
 
 @dataclass
 class CauchyPpcaParams:
-    """Loading matrix (d, q), offset (d,), positive noise scale.
-
-    `latent_posteriors` optionally carries the fitted per-datum posterior
-    pairs (mu_n, L_n); pipelines fill it in after a fit.
-    """
+    """Loading matrix (d, q), offset (d,), positive noise scale."""
 
     loading: np.ndarray
     offset: np.ndarray
     scale: float
-    latent_posteriors: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.loading = np.asarray(self.loading, dtype=float)

@@ -87,12 +87,8 @@ class LogisticModel(TargetModel):
         t = np.asarray(w_batch, dtype=float) @ self._phi.T
         return self._values(t), (self._y - expit(t)) @ self._phi
 
-    def predict(self, w, inputs):
-        """Class probabilities, shape (n, 2); column 1 is P(label = 1)."""
-        p = expit(self.design.matrix(inputs) @ np.asarray(w, dtype=float))
-        return np.column_stack([1.0 - p, p])
-
     def predict_batch(self, w_batch, inputs):
+        """Class probabilities, shape (S, n, 2); column 1 is P(label = 1)."""
         p = expit(self.design.matrix(inputs) @ np.asarray(w_batch, dtype=float).T).T
         return np.stack([1.0 - p, p], axis=2)
 

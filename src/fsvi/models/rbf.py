@@ -110,9 +110,6 @@ class RbfRegressionModel(GaussianNoiseModel):
     def vjp_batch(self, w_batch, r):
         return r @ self._phi
 
-    def predict(self, w, inputs):
-        return self.design.matrix(inputs) @ np.asarray(w, dtype=float)
-
     def predict_batch(self, w_batch, inputs):
         return np.asarray(w_batch, dtype=float) @ self.design.matrix(inputs).T
 

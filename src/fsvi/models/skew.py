@@ -10,9 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import log_ndtr
 
 from ..exceptions import DimensionError
-from .base import TargetModel
-
-_LN_2PI = np.log(2.0 * np.pi)
+from .base import TargetModel, _LN_2PI
 
 
 def _h_and_grad(points, coeff):

@@ -120,6 +120,20 @@ def test_missing_data_file_is_a_data_error(tmp_path, capsys):
     assert "absent.csv" in err
 
 
+def test_bivariate_rejects_a_data_file(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        ["--experiment", "bivariate", "--data", str(tmp_path / "absent.csv"),
+         "--seed", "0", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "bivariate" in lines[0]
+    assert not out.exists(), "a pipeline ran"
+
+
 def test_malformed_data_file_is_a_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     atomic_write_text(str(bad), "1.0,a\n")

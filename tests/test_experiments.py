@@ -1,4 +1,8 @@
-"""Experiment-level helpers: configuration checks, corruption, accuracy."""
+"""Experiment-level helpers: configuration checks, corruption, accuracy,
+and the files every pipeline writes."""
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +12,11 @@ from fsvi import (
     VariationalPosterior,
     corrupt_pixels,
     mc_accuracy,
+    run_experiment,
     synth_image_data,
 )
 from fsvi.exceptions import ConfigError
+from fsvi.experiments import EXPERIMENT_KINDS
 from fsvi.models import (
     LogisticModel,
     RbfDesign,
@@ -124,3 +130,67 @@ def test_mc_accuracy_accepts_one_hot_labels():
     a = mc_accuracy(post, model, x, labels, n_draws=8, seed=0)
     b = mc_accuracy(post, model, x, one_hot(labels, 2), n_draws=8, seed=0)
     assert a == b
+
+
+# ------------------------------------------------------------ pipeline files
+
+# Budgets small enough that two runs of every pipeline take seconds;
+# blr-overfit needs the monitor's ten iterations and two distinct budgets.
+_TINY_RUNS = {
+    "bivariate": dict(n_samples=10, max_iter=2),
+    "blr": dict(n_samples=10, max_iter=2),
+    "blr-overfit": dict(n_samples=20, max_iter=10),
+    "logistic": dict(n_samples=10, max_iter=2),
+    "multiclass": dict(n_samples=10, max_iter=2),
+    "cauchy-ppca": dict(n_samples=5, max_iter=1),
+}
+
+
+def _documented_files():
+    """Per experiment kind, name patterns of the files README says it writes."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    listing = text[text.index("\nExperiments:"):text.index("\nEvery run writes")]
+    documented = {}
+    for bullet in listing.split("\n- ")[1:]:
+        head, _, body = bullet.partition(":")
+        writes = re.split(r"\bWrites\s", body, maxsplit=1)[1]
+        names = re.findall(r"`([\w{}]+\.(?:csv|txt))`", writes)
+        patterns = [
+            re.compile(r"\d+".join(map(re.escape, re.split(r"\{\w+\}", name))))
+            for name in names + ["metrics.csv"]
+        ]
+        for kind in re.findall(r"`([\w-]+)`", head):
+            documented[kind] = patterns
+    return documented
+
+
+def _run_tiny(kind, out_dir):
+    config = ExperimentConfig(kind=kind, seed=0, out_dir=str(out_dir), **_TINY_RUNS[kind])
+    return run_experiment(config)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_pipeline_writes_its_documented_files_reproducibly(tmp_path, kind):
+    artifacts = _run_tiny(kind, tmp_path / "a")
+    files = {p.name: p.read_bytes() for p in (tmp_path / "a").iterdir()}
+
+    patterns = _documented_files()[kind]
+    for name in files:
+        assert any(p.fullmatch(name) for p in patterns), f"{name} is not documented"
+    for pattern in patterns:
+        assert any(pattern.fullmatch(name) for name in files), (
+            f"no file matches {pattern.pattern}"
+        )
+
+    assert artifacts.metrics_path == str(tmp_path / "a" / "metrics.csv")
+    rows = [line.split(",") for line in files["metrics.csv"].decode().splitlines()]
+    assert rows[0] == ["metric", "value"]
+    assert [key for key, _ in rows[1:]] == list(artifacts.metrics)
+    for key, value in rows[1:]:
+        expected = artifacts.metrics[key]
+        assert (value if isinstance(expected, str) else float(value)) == expected, key
+
+    _run_tiny(kind, tmp_path / "b")
+    rerun = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
+    assert rerun == files, "a rerun wrote different files"
