@@ -66,6 +66,9 @@ _DEFAULT_MAX_ITER = {
     "cauchy-ppca": 40,
 }
 
+# blr-overfit's small draw budget, fitted next to config.n_samples.
+_OVERFIT_SMALL_SAMPLES = 10
+
 # The three skewed bivariate targets run by default.
 BIVARIATE_COEFFS = (
     (-3.0, 1.0, -1.0, -1.0, -1.0, -1.0),
@@ -128,6 +131,12 @@ class ExperimentConfig:
             self.n_holdout = 500 if self.kind == "blr-overfit" else 5 * self.n_samples
         if self.max_iter is None:
             self.max_iter = _DEFAULT_MAX_ITER[self.kind]
+        if self.kind == "blr-overfit" and self.n_samples == _OVERFIT_SMALL_SAMPLES:
+            raise ConfigError(
+                f"blr-overfit compares n_samples with its own budget of "
+                f"{_OVERFIT_SMALL_SAMPLES} draws, so n_samples must not be "
+                f"{_OVERFIT_SMALL_SAMPLES}"
+            )
         _fit_config(self)  # FitConfig checks the ranges of the fit settings.
         if self.n_holdout <= self.n_samples:
             raise ConfigError(
@@ -290,7 +299,7 @@ def _run_blr_overfit(config):
     """Monitor the bound on held-out draws for a well-sized and a small S."""
     x, y, design, model = _blr_problem(config)
     metrics = {}
-    for s in dict.fromkeys((config.n_samples, 10)):
+    for s in (config.n_samples, _OVERFIT_SMALL_SAMPLES):
         fc = _fit_config(config, n_samples=s, tol=0.0)
         report = fit(model, fc, seed=config.seed)
         verdict = monitor_generalisation(report.trace)

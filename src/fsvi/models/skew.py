@@ -13,12 +13,12 @@ from ..exceptions import DimensionError
 from .base import TargetModel, _LN_2PI
 
 
-def _h_and_grad(points, coeff):
-    """Odd cubic h(w) = a . (w1, w2, w1 w2^2, w1^2 w2, w1^3, w2^3) and its gradient."""
+def _h(points, coeff):
+    """Odd cubic h(w) = a . (w1, w2, w1 w2^2, w1^2 w2, w1^3, w2^3)."""
     w1 = points[..., 0]
     w2 = points[..., 1]
     a = coeff
-    h = (
+    return (
         a[0] * w1
         + a[1] * w2
         + a[2] * w1 * w2**2
@@ -26,16 +26,29 @@ def _h_and_grad(points, coeff):
         + a[4] * w1**3
         + a[5] * w2**3
     )
+
+
+def _h_and_grad(points, coeff):
+    """h(w) and its gradient."""
+    w1 = points[..., 0]
+    w2 = points[..., 1]
+    a = coeff
     dh1 = a[0] + a[2] * w2**2 + 2.0 * a[3] * w1 * w2 + 3.0 * a[4] * w1**2
     dh2 = a[1] + 2.0 * a[2] * w1 * w2 + a[3] * w1**2 + 3.0 * a[5] * w2**2
-    return h, np.stack([dh1, dh2], axis=-1)
+    return _h(points, coeff), np.stack([dh1, dh2], axis=-1)
 
 
-def _phi_over_cumnorm(h):
-    # Stable density/CDF ratio: exp(log phi(h) - log Phi(h)); for very
-    # negative h this tends to |h| rather than overflowing.
+def _phi_over_cumnorm(h, log_cdf):
+    # Stable density/CDF ratio: exp(log phi(h) - log Phi(h)), given
+    # log_cdf = log Phi(h); for very negative h this tends to |h| rather
+    # than overflowing.
     log_phi = -0.5 * h * h - 0.5 * _LN_2PI
-    return np.exp(log_phi - log_ndtr(h))
+    return np.exp(log_phi - log_cdf)
+
+
+def _log_density(w, log_cdf):
+    """log 2 N(w | 0, I_2) Phi(h(w)) at each row of w, given log_cdf = log Phi(h)."""
+    return np.log(2.0) - _LN_2PI - 0.5 * np.sum(w * w, axis=-1) + log_cdf
 
 
 def skew_logdensity(w, coeff):
@@ -52,8 +65,9 @@ def skew_logdensity(w, coeff):
     if a.shape != (6,):
         raise DimensionError(f"coeff must have shape (6,), got {a.shape}")
     h, dh = _h_and_grad(w, a)
-    value = np.log(2.0) - _LN_2PI - 0.5 * float(w @ w) + float(log_ndtr(h))
-    grad = -w + _phi_over_cumnorm(h) * dh
+    log_cdf = log_ndtr(h)
+    value = np.log(2.0) - _LN_2PI - 0.5 * float(w @ w) + float(log_cdf)
+    grad = -w + _phi_over_cumnorm(h, log_cdf) * dh
     return float(value), grad
 
 
@@ -72,11 +86,16 @@ class SkewTarget(TargetModel):
     def dim(self):
         return 2
 
+    def log_lik_batch(self, w_batch):
+        w = np.asarray(w_batch, dtype=float)
+        return _log_density(w, log_ndtr(_h(w, self.coeff)))
+
     def log_lik_and_grad_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
         h, dh = _h_and_grad(w, self.coeff)
-        value = np.log(2.0) - _LN_2PI - 0.5 * np.sum(w * w, axis=-1) + log_ndtr(h)
-        return value, -w + _phi_over_cumnorm(h)[..., None] * dh
+        log_cdf = log_ndtr(h)
+        grad = -w + _phi_over_cumnorm(h, log_cdf)[..., None] * dh
+        return _log_density(w, log_cdf), grad
 
 
 class GaussianTarget(TargetModel):

@@ -5,6 +5,11 @@ information along the search direction is estimated from two gradient
 evaluations and regularised by an adaptive scale, so no line search and
 no Hessian are ever needed. The public entry point maximises; internally
 the negated objective is minimised.
+
+A run ends in one of four ways: the gradient norm falls below `grad_tol`
+(the only one reported as converged), the iteration budget runs out,
+`_MAX_FAILURES` consecutive steps are rejected, or the loop reaches a
+fixed point, where every further iteration would repeat the last one.
 """
 
 from dataclasses import dataclass
@@ -39,8 +44,9 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
     ----------
     fun : callable
         Maps a point x to a pair (value, gradient) of the objective being
-        maximised. A non-finite value or gradient mid-run, at a trial step
-        or at a curvature probe, is treated as a rejected step.
+        maximised. It must be pure: the same x always gives the same pair.
+        A non-finite value or gradient mid-run, at a trial step or at a
+        curvature probe, is treated as a rejected step.
     x0 : array_like
         Starting point.
     max_iters : int
@@ -54,6 +60,17 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
         Final point, objective value, iteration count, and convergence flag.
         Accepted iterates never decrease the objective, so the returned
         point is the best one seen.
+
+    The run stops when the gradient norm falls below `grad_tol` (converged),
+    after `max_iters` iterations, after `_MAX_FAILURES` consecutive rejected
+    steps, or at a fixed point: an iteration that starts in exactly the
+    state the previous one started in. That happens near a maximum whose
+    gradient norm stays above `grad_tol`: the scale grows until the step no
+    longer moves x in floating point, and an unchanged objective counts as
+    an accepted step. `fun` is pure, and the iteration count only picks
+    between two direction updates that agree once the gradient stops
+    changing, so every later iteration would repeat the same one; stopping
+    returns the point and value the full budget would.
     """
     x = np.array(x0, dtype=float).ravel()
     n = x.size
@@ -76,8 +93,15 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
     probe = _SIGMA0
     k = 0
     converged = float(np.linalg.norm(r)) < grad_tol
+    # The loop state an iteration started in, kept only when that
+    # iteration's accepted step left x unchanged.
+    stalled = None
 
     while not converged and k < max_iters:
+        state = (x, r, p, e_now, lam, lam_bar, success, failures, delta, probe)
+        if stalled is not None and all(map(np.array_equal, state, stalled)):
+            break
+        stalled = None
         k += 1
         if success:
             mu = float(p @ r)
@@ -125,6 +149,9 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
 
         if comparison >= 0.0:
             # Accept the step.
+            # An unchanged x leaves the value unchanged; test that first.
+            if e_new == e_now and np.array_equal(x_new, x):
+                stalled = state
             x = x_new
             e_now = e_new
             r_old = r

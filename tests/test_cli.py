@@ -106,6 +106,22 @@ def test_unaffordable_sample_count_is_a_config_error(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: cannot allocate"), err
 
 
+def test_blr_overfit_needs_two_distinct_budgets(tmp_path, capsys):
+    # blr-overfit fits --samples and a fixed budget of 10 draws; --samples 10
+    # would compare a budget with itself.
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        ["--experiment", "blr-overfit", "--samples", "10", "--max-iter", "10",
+         "--seed", "0", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "n_samples" in lines[0]
+    assert not out.exists(), "a pipeline ran"
+
+
 def test_unknown_experiment_is_rejected_by_the_parser(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--experiment", "nonsense", "--seed", "0", "--out", str(tmp_path)])

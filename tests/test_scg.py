@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from fsvi import scg_maximise
+from fsvi.baselines import _log_joint_and_grad
 from fsvi.exceptions import InvalidStartError
+from fsvi.experiments import BIVARIATE_COEFFS
+from fsvi.models import SkewTarget
 from fsvi.scg import _MAX_FAILURES
 
 
@@ -160,3 +163,32 @@ def test_objective_failing_just_off_the_start(failure):
     res = scg_maximise(_fails_off(1e-7, _FAILURES[failure]), np.zeros(2))
     assert res.converged
     assert np.max(np.abs(res.x - 1.0)) < 1e-8, f"stopped at {res.x}"
+
+
+def test_stops_at_its_own_fixed_point():
+    # Restart 5 of the Laplace mode search on the first bivariate target
+    # reaches the mode in a few iterations, with a gradient norm (~1.4e-10)
+    # just above grad_tol. The scale then grows until the step no longer
+    # moves x, and each later iteration repeats the previous one: without
+    # the fixed-point stop the run spends its whole budget (999 evaluations).
+    target = SkewTarget(BIVARIATE_COEFFS[0])
+    rng = np.random.default_rng(0)
+    x0 = [rng.standard_normal(2) for _ in range(5)][-1]
+    evaluated = []
+
+    def fun(x):
+        evaluated.append(x.copy())
+        return _log_joint_and_grad(target, x, None)
+
+    res = scg_maximise(fun, x0, max_iters=500, grad_tol=1e-10)
+    assert res.n_evals == len(evaluated) < 200
+    assert not res.converged
+    # The last iteration evaluated the same probe and trial points as the
+    # one before it.
+    assert all(np.array_equal(a, b) for a, b in zip(evaluated[-2:], evaluated[-4:-2]))
+    # The point and value the full 500-iteration budget returns.
+    assert [float(v).hex() for v in res.x] == [
+        "-0x1.d09b956fb4a31p-2",
+        "0x1.c39a15e6d9b69p-4",
+    ]
+    assert float(res.value).hex() == "-0x1.5113013a4dce7p+0"
