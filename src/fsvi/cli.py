@@ -1,55 +1,21 @@
 """Command-line entry point: one experiment per invocation.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure during fitting or evaluation.
+Exit codes: 0 success, else the `exit_code` of the `FsviError` raised:
+2 configuration error (an unreadable config file and an `--out` that is a
+file included), 3 data error, 4 numerical failure during fitting or
+evaluation. An `OSError` (a data file or output path that cannot be read
+or written) exits 3.
 """
 
 import argparse
 import json
 import sys
 
-from .exceptions import (
-    ConfigError,
-    CoverageError,
-    DataFormatError,
-    DegenerateFitError,
-    DegeneratePosteriorError,
-    DimensionError,
-    IndefiniteHessianError,
-    InsufficientDataError,
-    InvalidLabelError,
-    InvalidPosteriorError,
-    InvalidStartError,
-    NumericalFailureError,
-    PosteriorIOError,
-    RankError,
-)
+from .exceptions import ConfigError, FsviError
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
-_CONFIG_ERRORS = (ConfigError, DimensionError, InsufficientDataError)
-_DATA_ERRORS = (
-    DataFormatError,
-    InvalidLabelError,
-    PosteriorIOError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-)
-_NUMERICAL_ERRORS = (
-    NumericalFailureError,
-    IndefiniteHessianError,
-    CoverageError,
-    RankError,
-    DegenerateFitError,
-    DegeneratePosteriorError,
-    InvalidPosteriorError,
-    InvalidStartError,
-)
 
 
 def _build_parser():
@@ -101,8 +67,10 @@ _CONFIG_KEYS = {
 
 def _load_config_file(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -139,15 +107,12 @@ def main(argv=None):
     try:
         config = build_experiment_config(args)
         artifacts = run_experiment(config)
-    except _CONFIG_ERRORS as exc:
+    except FsviError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _DATA_ERRORS as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
     for key, value in artifacts.metrics.items():
         print(f"{key}: {value}")

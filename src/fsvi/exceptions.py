@@ -2,11 +2,22 @@
 
 
 class FsviError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    `exit_code` is the `fsvi` command's exit status for the error: 2 for a
+    configuration error (an unreadable config file and an `--out` that is a
+    file included), 3 for a malformed data file, 4 for a numerical failure.
+    The command also exits 3 on an `OSError`: a data file or output path
+    that cannot be read or written.
+    """
+
+    exit_code = 4
 
 
 class DimensionError(FsviError, ValueError):
     """Array shapes are inconsistent with each other or with a model."""
+
+    exit_code = 2
 
 
 class InvalidPosteriorError(FsviError, ValueError):
@@ -24,9 +35,13 @@ class DegenerateFitError(FsviError, ValueError):
 class ConfigError(FsviError, ValueError):
     """A configuration value is missing, malformed, or out of range."""
 
+    exit_code = 2
+
 
 class InsufficientDataError(FsviError, ValueError):
     """Not enough recorded iterations to reach a verdict."""
+
+    exit_code = 2
 
 
 class InvalidStartError(FsviError, ValueError):
@@ -64,9 +79,13 @@ class CoverageError(FsviError, ValueError):
 class InvalidLabelError(FsviError, ValueError):
     """Class labels are outside the accepted coding."""
 
+    exit_code = 3
+
 
 class DataFormatError(FsviError, ValueError):
     """A data file could not be parsed; carries a 1-based line number."""
+
+    exit_code = 3
 
     def __init__(self, message, line=None):
         super().__init__(message)
@@ -75,3 +94,5 @@ class DataFormatError(FsviError, ValueError):
 
 class PosteriorIOError(FsviError, ValueError):
     """A posterior file failed version, parse, or invariant checks."""
+
+    exit_code = 3

@@ -9,6 +9,7 @@ reproduces the metric files byte for byte.
 import numbers
 import os
 import pathlib
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,33 +39,6 @@ from .models import (
     synth_spectrum_data,
 )
 from .posterior import Hyperparameters
-
-EXPERIMENT_KINDS = (
-    "bivariate",
-    "blr",
-    "blr-overfit",
-    "logistic",
-    "multiclass",
-    "cauchy-ppca",
-)
-
-_DEFAULT_SAMPLES = {
-    "bivariate": 50,
-    "blr": 100,
-    "blr-overfit": 100,
-    "logistic": 200,
-    "multiclass": 200,
-    "cauchy-ppca": 20,
-}
-
-_DEFAULT_MAX_ITER = {
-    "bivariate": 150,
-    "blr": 150,
-    "blr-overfit": 40,
-    "logistic": 100,
-    "multiclass": 80,
-    "cauchy-ppca": 40,
-}
 
 # blr-overfit's small draw budget, fitted next to config.n_samples.
 _OVERFIT_SMALL_SAMPLES = 10
@@ -104,19 +78,23 @@ class ExperimentConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
+        # A tuple test: the kind may be an unhashable value from a JSON config.
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}; "
                 f"choose from {', '.join(EXPERIMENT_KINDS)}"
             )
+        pipeline = _PIPELINES[self.kind]
         if self.seed is None:
             raise ConfigError("seed is mandatory")
         if self.out_dir is None or self.out_dir == "":
             raise ConfigError("out_dir is mandatory")
         _check_path("out_dir", self.out_dir)
+        if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
+            raise ConfigError(f"out_dir {self.out_dir} exists and is not a directory")
         if self.data is not None:
-            if self.kind == "bivariate":
-                raise ConfigError("bivariate takes no data: its targets are built in")
+            if pipeline.runner is _run_bivariate:
+                raise ConfigError(f"{self.kind} takes no data: its targets are built in")
             _check_path("data", self.data)
         for name in ("seed", "n_samples", "n_holdout", "inner_iters", "max_iter"):
             if getattr(self, name) is not None:
@@ -126,14 +104,15 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples is None:
-            self.n_samples = _DEFAULT_SAMPLES[self.kind]
+            self.n_samples = pipeline.n_samples
         if self.n_holdout is None:
-            self.n_holdout = 500 if self.kind == "blr-overfit" else 5 * self.n_samples
+            self.n_holdout = pipeline.n_holdout or 5 * self.n_samples
         if self.max_iter is None:
-            self.max_iter = _DEFAULT_MAX_ITER[self.kind]
-        if self.kind == "blr-overfit" and self.n_samples == _OVERFIT_SMALL_SAMPLES:
+            self.max_iter = pipeline.max_iter
+        if (pipeline.runner is _run_blr_overfit
+                and self.n_samples == _OVERFIT_SMALL_SAMPLES):
             raise ConfigError(
-                f"blr-overfit compares n_samples with its own budget of "
+                f"{self.kind} compares n_samples with its own budget of "
                 f"{_OVERFIT_SMALL_SAMPLES} draws, so n_samples must not be "
                 f"{_OVERFIT_SMALL_SAMPLES}"
             )
@@ -201,15 +180,7 @@ def run_experiment(config):
 
     Each pipeline writes its own files and returns its metrics dict.
     """
-    runners = {
-        "bivariate": _run_bivariate,
-        "blr": _run_blr,
-        "blr-overfit": _run_blr_overfit,
-        "logistic": _run_logistic,
-        "multiclass": _run_multiclass,
-        "cauchy-ppca": _run_cauchy_ppca,
-    }
-    metrics = runners[config.kind](config)
+    metrics = _PIPELINES[config.kind].runner(config)
     metrics_path = _out_path(config, "metrics.csv")
     write_csv(
         metrics_path,
@@ -513,6 +484,21 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
         "scale": float(fitted.params.scale),
         "final_bound": float(report.trace[-1][1]),
     }
+
+
+# Each experiment kind: its runner and its defaults for n_samples and
+# max_iter (and n_holdout where 5 * n_samples does not suit).
+_Pipeline = namedtuple("_Pipeline", "runner n_samples max_iter n_holdout",
+                       defaults=(None,))
+_PIPELINES = {
+    "bivariate": _Pipeline(_run_bivariate, 50, 150),
+    "blr": _Pipeline(_run_blr, 100, 150),
+    "blr-overfit": _Pipeline(_run_blr_overfit, 100, 40, n_holdout=500),
+    "logistic": _Pipeline(_run_logistic, 200, 100),
+    "multiclass": _Pipeline(_run_multiclass, 200, 80),
+    "cauchy-ppca": _Pipeline(_run_cauchy_ppca, 20, 40),
+}
+EXPERIMENT_KINDS = tuple(_PIPELINES)
 
 
 def _mean_draw_mse(post, model, inputs, targets, n_draws, rng):

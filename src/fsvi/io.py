@@ -5,6 +5,8 @@ leaves a half-written artifact behind.
 """
 
 import csv
+import io
+import math
 import os
 import tempfile
 
@@ -140,10 +142,28 @@ def load_posterior(path):
 
 def _parse_cell(token, path, line_no):
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise DataFormatError(
             f"{path}:{line_no}: non-numeric cell {token!r}", line=line_no
+        ) from exc
+    if not math.isfinite(value):
+        raise DataFormatError(
+            f"{path}:{line_no}: non-finite cell {token!r}", line=line_no
+        )
+    return value
+
+
+def _read_utf8(path):
+    """A data file's text; bytes that are not UTF-8 raise DataFormatError."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"{path}:{line_no}: not UTF-8 text ({exc.reason})", line=line_no
         ) from exc
 
 
@@ -153,7 +173,8 @@ def load_csv_dataset(path, schema, n_classes=None, header=False):
     schema "regression": last column is the real-valued target.
     schema "binary": last column must be 0 or 1.
     schema "one-hot": last n_classes columns must be a valid 1-of-K row.
-    Error messages carry 1-based line numbers (header included in the count).
+    The file must be UTF-8 text and every cell a finite number. Error
+    messages carry 1-based line numbers (header included in the count).
     """
     if schema not in ("regression", "binary", "one-hot"):
         raise DataFormatError(f"unknown schema {schema!r}")
@@ -161,7 +182,7 @@ def load_csv_dataset(path, schema, n_classes=None, header=False):
         raise DataFormatError("one-hot schema needs n_classes >= 2")
 
     rows = []
-    with open(path, newline="") as handle:
+    with io.StringIO(_read_utf8(path), newline="") as handle:
         reader = csv.reader(handle)
         width = None
         for line_no, row in enumerate(reader, start=1):

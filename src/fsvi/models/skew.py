@@ -111,7 +111,10 @@ class GaussianTarget(TargetModel):
             raise DimensionError(
                 f"covariance shape {self.cov.shape} does not match mean size {m}"
             )
-        self._cho = cho_factor(self.cov, lower=True)
+        try:
+            self._cho = cho_factor(self.cov, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise DimensionError("covariance must be positive definite") from exc
         self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
 
     @property

@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fsvi.cli as cli
+import fsvi.exceptions as exceptions
 from fsvi import load_posterior, synth_image_data
-from fsvi.exceptions import NumericalFailureError
+from fsvi.exceptions import FsviError, NumericalFailureError
 from fsvi.io import atomic_write_text
 
 
@@ -150,6 +151,21 @@ def test_bivariate_rejects_a_data_file(tmp_path, capsys):
     assert not out.exists(), "a pipeline ran"
 
 
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    existing = tmp_path / "results"
+    existing.write_text("keep me\n")
+    code, _, err = run_cli(
+        ["--experiment", "blr", "--seed", "0", "--out", str(existing),
+         "--samples", "10", "--max-iter", "5"],
+        capsys,
+    )
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "not a directory" in lines[0]
+    assert existing.read_text() == "keep me\n"
+
+
 def test_malformed_data_file_is_a_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     atomic_write_text(str(bad), "1.0,a\n")
@@ -207,6 +223,59 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "iteration 3" in err
 
 
+# The exit status of every FsviError subclass: 2 configuration, 3 data,
+# 4 numerical.
+_EXIT_CODES = {
+    exceptions.ConfigError: 2,
+    exceptions.DimensionError: 2,
+    exceptions.InsufficientDataError: 2,
+    exceptions.DataFormatError: 3,
+    exceptions.InvalidLabelError: 3,
+    exceptions.PosteriorIOError: 3,
+    exceptions.CoverageError: 4,
+    exceptions.DegenerateFitError: 4,
+    exceptions.DegeneratePosteriorError: 4,
+    exceptions.IndefiniteHessianError: 4,
+    exceptions.InvalidPosteriorError: 4,
+    exceptions.InvalidStartError: 4,
+    exceptions.NumericalFailureError: 4,
+    exceptions.RankError: 4,
+}
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
+
+
+def test_every_error_class_has_its_exit_code(tmp_path, capsys, monkeypatch):
+    assert set(_all_subclasses(FsviError)) <= set(_EXIT_CODES), (
+        "an FsviError subclass has no pinned exit code"
+    )
+    for cls, expected in _EXIT_CODES.items():
+        assert cls.exit_code == expected, cls.__name__
+
+        def fail(config, cls=cls):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        code, _, err = run_cli(blr_args(tmp_path), capsys)
+        assert code == expected, cls.__name__
+        assert err == f"error: {cls.__name__} raised\n"
+
+
+def test_any_os_error_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def deny(config):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "out"))
+
+    monkeypatch.setattr(cli, "run_experiment", deny)
+    code, _, err = run_cli(blr_args(tmp_path), capsys)
+    assert code == 3
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Permission denied" in lines[0], err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = {
         "experiment": "blr",
@@ -258,6 +327,19 @@ def test_config_must_be_an_object(tmp_path, capsys):
     code, _, err = run_cli(["--config", str(path)], capsys)
     assert code == 2
     assert "JSON object" in err
+
+
+@pytest.mark.parametrize("content", [None, b'{"experiment": "caf\xe9"}'],
+                         ids=["missing", "not-utf-8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "run.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, _, err = run_cli(["--config", str(path)], capsys)
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "run.json" in lines[0]
 
 
 def write_config(path, config):
@@ -367,10 +449,10 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _assert_clean_failure(argv, capsys):
+def _assert_clean_failure(argv, capsys, codes=(2, 3, 4)):
     code = cli.main(argv)
     err = capsys.readouterr().err
-    assert code in (2, 3, 4), f"exit code {code} for {argv}: {err}"
+    assert code in codes, f"exit code {code} for {argv}: {err}"
     assert err.startswith("error:"), err
 
 
@@ -396,24 +478,34 @@ _CELL = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 @st.composite
 def _malformed_csvs(draw):
-    """A numeric CSV with one defect that the loader must reject."""
+    """The bytes of a numeric CSV with one defect that the loader must reject."""
     width = draw(st.integers(2, 4))
     rows = draw(
         st.lists(
             st.lists(_CELL, min_size=width, max_size=width), min_size=1, max_size=5
         )
     )
-    defect = draw(st.sampled_from(["empty", "one column", "ragged", "token"]))
+    defect = draw(st.sampled_from(
+        ["empty", "one column", "ragged", "token", "non-finite", "not utf-8"]
+    ))
     if defect == "empty":
         rows = []
     elif defect == "one column":
         rows = [[row[0]] for row in rows]
     elif defect == "ragged":
         rows = rows + [draw(st.lists(_CELL, min_size=width + 1, max_size=width + 3))]
-    else:
+    elif defect == "token":
         token = draw(st.text(alphabet="ab-e.x ", min_size=1, max_size=4))
         rows = rows + [[token] + [repr(1.0)] * (width - 1)]
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    elif defect == "non-finite":
+        token = draw(st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e999"]))
+        rows = rows + [[repr(1.0)] * (width - 1) + [token]]
+    data = ("\n".join(",".join(row) for row in rows) + "\n").encode()
+    if defect == "not utf-8":
+        cut = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"caf\xe9", b"\xed\xa0\x80"]))
+        data = data[:cut] + bad + data[cut:]
+    return data
 
 
 def test_fuzzed_malformed_csv_is_a_data_error(fuzz_dir, capsys):
@@ -428,9 +520,9 @@ def test_fuzzed_malformed_csv_is_a_data_error(fuzz_dir, capsys):
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(_malformed_csvs())
-    def check(text):
-        path.write_text(text)
-        _assert_clean_failure(argv, capsys)
+    def check(data):
+        path.write_bytes(data)
+        _assert_clean_failure(argv, capsys, codes=(3,))
 
     check()
     assert not out_dir.exists(), "a malformed CSV ran a pipeline"

@@ -497,6 +497,8 @@ def test_gaussian_target_matches_scipy():
     for _ in range(10):
         w = rng.standard_normal(2)
         assert abs(model.log_lik(w) - ref.logpdf(w)) < 1e-12
+    with pytest.raises(DimensionError, match="positive definite"):
+        GaussianTarget(mean, [[1.0, 2.0], [2.0, 1.0]])
 
 
 # -------------------------------------------------------------- design matrix
