@@ -19,6 +19,7 @@ from .exceptions import (
     DimensionError,
 )
 from .models.base import GaussianNoiseModel, _LN_2PI, _noise_args
+from .posterior import _LOG_DET_FLOOR, _factor_times, _slogdet_blocks
 
 
 def _check_dims(model, post, samples):
@@ -32,30 +33,53 @@ def _check_dims(model, post, samples):
         )
 
 
-def kl_gaussian_prior(post, alpha):
-    """KL(q || N(0, I/alpha)) for q = N(mu, L L^T), in closed form.
+def _kl_fn(alpha, m):
+    """KL(q || N(0, I/alpha)) as a function of E_q[w^T w] and ln|det L|.
 
     The log-determinant of alpha L L^T is assembled as M ln(alpha)
     + 2 ln|det L| rather than formed from the product matrix.
     """
     if alpha is None or alpha <= 0.0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    m = post.dim
-    logdet = post.log_abs_det_factor()
-    sq = post.second_moment()
-    return 0.5 * (alpha * sq - m - m * np.log(alpha) - 2.0 * logdet)
+    m_log_alpha = m * np.log(alpha)
+
+    def kl(sq, logdet):
+        return 0.5 * (alpha * sq - m - m_log_alpha - 2.0 * logdet)
+
+    return kl
+
+
+def _entropy_fn(m):
+    """Entropy of q = N(mu, L L^T) as a function of ln|det L|."""
+    const = 0.5 * m * (_LN_2PI + 1.0)
+
+    def entropy(logdet):
+        return const + logdet
+
+    return entropy
+
+
+def kl_gaussian_prior(post, alpha):
+    """KL(q || N(0, I/alpha)) for q = N(mu, L L^T), in closed form."""
+    kl = _kl_fn(alpha, post.dim)
+    return kl(post.second_moment(), post.log_abs_det_factor())
 
 
 def gaussian_entropy(post):
     """Differential entropy of q = N(mu, L L^T)."""
-    return 0.5 * post.dim * (_LN_2PI + 1.0) + post.log_abs_det_factor()
+    return _entropy_fn(post.dim)(post.log_abs_det_factor())
 
 
-def _prior_term(model, post, hyper):
-    """The Gaussian entropy under a flat prior, else the negated prior KL."""
+def _prior_term_fn(model, hyper, m):
+    """The prior term as a function of E_q[w^T w] and ln|det L|.
+
+    The Gaussian entropy under a flat prior, else the negated prior KL.
+    """
     if model.prior == "flat":
-        return gaussian_entropy(post)
-    return -kl_gaussian_prior(post, hyper.alpha)
+        entropy = _entropy_fn(m)
+        return lambda sq, logdet: entropy(logdet)
+    kl = _kl_fn(hyper.alpha, m)
+    return lambda sq, logdet: -kl(sq, logdet)
 
 
 def lower_bound_fs(model, post, hyper, samples):
@@ -65,60 +89,92 @@ def lower_bound_fs(model, post, hyper, samples):
     return the identical value. Evaluates the likelihood values only.
     """
     _check_dims(model, post, samples)
+    prior = _prior_term_fn(model, hyper, post.dim)
     w = post.transform(samples.draws)
     mean_ll = float(np.mean(model.log_lik_batch(w, *_noise_args(model, hyper))))
-    return mean_ll + _prior_term(model, post, hyper)
+    return mean_ll + prior(post.second_moment(), post.log_abs_det_factor())
 
 
-def _model_pass(model, post, hyper, samples):
-    """Mean log-likelihood and per-draw gradients from one fused model pass."""
-    _check_dims(model, post, samples)
-    w = post.transform(samples.draws)
-    values, grads = model.log_lik_and_grad_batch(w, *_noise_args(model, hyper))
-    return float(np.mean(values)), grads
+def mu_objective(model, post, hyper, samples):
+    """The bound and its gradient as a function of the mean, L held at post.L.
 
-
-def _value_and_grad_mu(model, post, hyper, samples):
-    """Bound value and its gradient with respect to the posterior mean."""
-    mean_ll, grads = _model_pass(model, post, hyper, samples)
-    g = np.mean(grads, axis=0)
-    if model.prior == "gaussian":
-        g = g - hyper.alpha * post.mu
-    return mean_ll + _prior_term(model, post, hyper), g
-
-
-def _value_and_grad_L(model, post, hyper, samples):
-    """Bound value and its gradient with respect to the posterior factor L.
-
-    The likelihood term is (1/S) sum_s grad_w log p(Y|w_s) z_s^T, restricted
-    to the blocks of L; the prior/entropy term contributes the transposed
-    inverse of each block (and -alpha L under a Gaussian prior). The
-    gradient has L's own shape.
+    Everything that depends only on L and the draws (L z, ln|det L|,
+    tr(L L^T)) is computed here, once; each evaluation is one model pass.
+    Raises InvalidPosteriorError if post.L is singular.
     """
-    mean_ll, grads = _model_pass(model, post, hyper, samples)
-    blocks = post.blocks
-    k, b, _ = blocks.shape
+    _check_dims(model, post, samples)
+    noise = _noise_args(model, hyper)
+    prior = _prior_term_fn(model, hyper, post.dim)
+    alpha = hyper.alpha if model.prior == "gaussian" else None
+    lz = post.apply_factor(samples.draws)
+    logdet = post.log_abs_det_factor()
+    tr_llt = float(np.sum(post.L * post.L))
+
+    def objective(mu):
+        values, grads = model.log_lik_and_grad_batch(mu + lz, *noise)
+        g = np.mean(grads, axis=0)
+        if alpha is not None:
+            g = g - alpha * mu
+        sq = float(mu @ mu) + tr_llt
+        return float(np.mean(values)) + prior(sq, logdet), g
+
+    return objective
+
+
+def factor_objective(model, post, hyper, samples):
+    """The bound and its gradient as a function of L (flattened), mu held.
+
+    The likelihood term of the gradient is (1/S) sum_s grad_w log p(Y|w_s)
+    z_s^T, restricted to the blocks of L; the prior/entropy term
+    contributes the transposed inverse of each block (and -alpha L under
+    a Gaussian prior). A candidate whose determinant changes sign from
+    post.L's, or falls below the 1e-300 floor, has crossed the singular
+    barrier: it evaluates to (-inf, zero gradient), which SCG rejects.
+    Raises InvalidPosteriorError if post.L itself is singular.
+    """
+    _check_dims(model, post, samples)
+    noise = _noise_args(model, hyper)
+    prior = _prior_term_fn(model, hyper, post.dim)
+    alpha = hyper.alpha if model.prior == "gaussian" else None
+    post.log_abs_det_factor()  # raises on a singular start
+    sign0 = post.factor_slogdet[0]
+    shape = post.L.shape
+    k, b, _ = post.blocks.shape
+    z = samples.draws
     s = samples.size
-    g = grads.reshape(s, k, b).transpose(1, 2, 0) @ (
-        samples.draws.reshape(s, k, b).swapaxes(0, 1)
-    ) / s
-    if model.prior == "gaussian":
-        g = g - hyper.alpha * blocks
-    # The prior term comes first: it raises InvalidPosteriorError on a
-    # singular L before the inverse would fail.
-    value = mean_ll + _prior_term(model, post, hyper)
-    g = g + np.linalg.inv(blocks).swapaxes(-1, -2)
-    return value, g.reshape(post.L.shape)
+    zk = z.reshape(s, k, b).swapaxes(0, 1)
+    mu = post.mu
+    mu_sq = float(mu @ mu)
+
+    def objective(x):
+        factor = x.reshape(shape)
+        blocks = factor[None] if factor.ndim == 2 else factor
+        sign, logdet = _slogdet_blocks(blocks)
+        if sign != sign0 or logdet < _LOG_DET_FLOOR:
+            # The candidate crossed the singular barrier; SCG rejects it.
+            return -np.inf, np.zeros_like(x)
+        w = mu + _factor_times(blocks, zk, z.shape)
+        values, grads = model.log_lik_and_grad_batch(w, *noise)
+        g = grads.reshape(s, k, b).transpose(1, 2, 0) @ zk / s
+        if alpha is not None:
+            g = g - alpha * blocks
+        sq = mu_sq + float(np.sum(factor * factor))
+        value = float(np.mean(values)) + prior(sq, logdet)
+        g = g + np.linalg.inv(blocks).swapaxes(-1, -2)
+        return value, g.reshape(x.shape)
+
+    return objective
 
 
 def grad_mu(model, post, hyper, samples):
     """Gradient of the bound with respect to the posterior mean."""
-    return _value_and_grad_mu(model, post, hyper, samples)[1]
+    return mu_objective(model, post, hyper, samples)(post.mu)[1]
 
 
 def grad_L(model, post, hyper, samples):
     """Gradient of the bound with respect to the posterior factor L."""
-    return _value_and_grad_L(model, post, hyper, samples)[1]
+    grad = factor_objective(model, post, hyper, samples)(post.L.ravel())[1]
+    return grad.reshape(post.L.shape)
 
 
 def update_alpha(post):
@@ -167,6 +223,8 @@ __all__ = [
     "kl_gaussian_prior",
     "gaussian_entropy",
     "lower_bound_fs",
+    "mu_objective",
+    "factor_objective",
     "grad_mu",
     "grad_L",
     "update_alpha",

@@ -85,15 +85,19 @@ def kld_numerical_2d(log_p, log_q, grid=None, direction="p-to-q"):
     a CoverageError (carrying both measured masses) is raised.
 
     direction "p-to-q" integrates p ln(p/q); "q-to-p" swaps the roles.
+    Each of log_p and log_q is either a callable evaluating the log-density
+    on rows of points, or its values at `grid.points`, so a density scored
+    in several divergences is evaluated on the grid once.
     """
     if direction not in ("p-to-q", "q-to-p"):
         raise ConfigError(f"unknown direction {direction!r}")
     grid = grid or Grid2D.build()
-    pts = grid.points
-    lp = np.asarray(log_p(pts), dtype=float)
-    lq = np.asarray(log_q(pts), dtype=float)
-    if lp.shape != (pts.shape[0],) or lq.shape != (pts.shape[0],):
-        raise DimensionError("log-density callables must return one value per point")
+    n = grid.weights.size
+    pts = grid.points if callable(log_p) or callable(log_q) else None
+    lp = np.asarray(log_p(pts) if callable(log_p) else log_p, dtype=float)
+    lq = np.asarray(log_q(pts) if callable(log_q) else log_q, dtype=float)
+    if lp.shape != (n,) or lq.shape != (n,):
+        raise DimensionError("log-densities must have one value per grid point")
 
     mass_p = grid.integrate(np.exp(lp))
     mass_q = grid.integrate(np.exp(lq))

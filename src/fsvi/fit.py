@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bound import (
-    _value_and_grad_L,
-    _value_and_grad_mu,
+    factor_objective,
     lower_bound_fs,
+    mu_objective,
     update_alpha,
     update_beta,
 )
@@ -26,12 +26,7 @@ from .exceptions import (
     NumericalFailureError,
 )
 from .models.base import GaussianNoiseModel
-from .posterior import (
-    _LOG_DET_FLOOR,
-    Hyperparameters,
-    SampleSet,
-    VariationalPosterior,
-)
+from .posterior import Hyperparameters, SampleSet, VariationalPosterior
 from .scg import scg_maximise
 
 _INNER_GRAD_TOL = 1e-9
@@ -100,31 +95,20 @@ class FitReport:
     samples: SampleSet = field(repr=False, default=None)
 
 
-def _optimise_mu(model, post, hyper, samples, iters):
-    def objective(mu_vec):
-        cand = VariationalPosterior(mu_vec, post.L)
-        return _value_and_grad_mu(model, cand, hyper, samples)
+def _optimise(objective, x0, iters):
+    """Run one SCG block of `iters` iterations from x0; returns its end point."""
+    return scg_maximise(objective, x0, max_iters=iters, grad_tol=_INNER_GRAD_TOL).x
 
-    res = scg_maximise(objective, post.mu, max_iters=iters, grad_tol=_INNER_GRAD_TOL)
-    return VariationalPosterior(res.x, post.L)
+
+def _optimise_mu(model, post, hyper, samples, iters):
+    objective = mu_objective(model, post, hyper, samples)
+    return VariationalPosterior(_optimise(objective, post.mu, iters), post.L)
 
 
 def _optimise_factor(model, post, hyper, samples, iters):
-    sign0 = post.factor_slogdet[0]
-
-    def objective(x):
-        cand = VariationalPosterior(post.mu, x.reshape(post.L.shape))
-        sign, logdet = cand.factor_slogdet
-        if sign != sign0 or logdet < _LOG_DET_FLOOR:
-            # Candidate crossed the singular barrier; reject the step.
-            return -np.inf, np.zeros_like(x)
-        value, grad = _value_and_grad_L(model, cand, hyper, samples)
-        return value, grad.ravel()
-
-    res = scg_maximise(
-        objective, post.L.ravel(), max_iters=iters, grad_tol=_INNER_GRAD_TOL
-    )
-    return VariationalPosterior(post.mu, res.x.reshape(post.L.shape))
+    objective = factor_objective(model, post, hyper, samples)
+    x = _optimise(objective, post.L.ravel(), iters)
+    return VariationalPosterior(post.mu, x.reshape(post.L.shape))
 
 
 def _optimise_model_params(model, post, samples, iters):
@@ -133,10 +117,7 @@ def _optimise_model_params(model, post, samples, iters):
     def objective(theta):
         return model.with_model_params(theta).model_params_value_and_grad(w)
 
-    res = scg_maximise(
-        objective, model.model_params, max_iters=iters, grad_tol=_INNER_GRAD_TOL
-    )
-    return model.with_model_params(res.x)
+    return model.with_model_params(_optimise(objective, model.model_params, iters))
 
 
 def fit(model, config=None, seed=0):

@@ -91,8 +91,11 @@ def load_posterior(path):
     content violating the posterior invariants (wrong lengths, non-square
     factor).
     """
-    with open(path) as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise PosteriorIOError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines:
         raise PosteriorIOError(f"{path}: empty posterior file")
     head = lines[0].split()
@@ -123,6 +126,7 @@ def load_posterior(path):
         raise PosteriorIOError(f"{path}: missing mu line")
     try:
         m = int(fields["m"])
+        seed = None if fields["seed"] == "none" else int(fields["seed"])
         mu = np.array([float(v) for v in mu])
         factor = np.array([[float(v) for v in row] for row in factor_rows])
     except ValueError as exc:
@@ -133,7 +137,6 @@ def load_posterior(path):
         raise PosteriorIOError(
             f"{path}: m declares {m} but L has shape {factor.shape}"
         )
-    seed = None if fields["seed"] == "none" else int(fields["seed"])
     alpha = _parse_optional_float(fields["alpha"], "alpha")
     beta = _parse_optional_float(fields.get("beta", "none"), "beta")
     post = VariationalPosterior(mu, factor)

@@ -14,6 +14,18 @@ _DET_FLOOR = 1e-300
 _LOG_DET_FLOOR = np.log(_DET_FLOOR)
 
 
+def _slogdet_blocks(blocks):
+    """(sign, ln|det L|) of a (K, b, b) block stack, from one LU per block."""
+    # Python reductions: numpy's cost more than the work for small K.
+    sign, logdet = np.linalg.slogdet(blocks)
+    return math.prod(sign.tolist()), sum(logdet.tolist())
+
+
+def _factor_times(blocks, zk, shape):
+    """L z in `shape`, from the (K, b, b) blocks and z as a (K, S, b) stack."""
+    return (zk @ blocks.swapaxes(-1, -2)).swapaxes(0, 1).reshape(shape)
+
+
 @dataclass
 class VariationalPosterior:
     """Gaussian q(w) = N(mu, L L^T) parameterised by its square factor L.
@@ -61,9 +73,7 @@ class VariationalPosterior:
     @functools.cached_property
     def factor_slogdet(self):
         """(sign, ln|det L|) of the factor, from one LU per block."""
-        # Python reductions: numpy's cost more than the work for small K.
-        sign, logdet = np.linalg.slogdet(self.blocks)
-        return math.prod(sign.tolist()), sum(logdet.tolist())
+        return _slogdet_blocks(self.blocks)
 
     def log_abs_det_factor(self):
         """ln|det L| via pivoted LU factorisation.
@@ -83,12 +93,8 @@ class VariationalPosterior:
         factor = self.dense_factor()
         return factor @ factor.T
 
-    def transform(self, z):
-        """Map standard-normal draws z to parameter space, w = mu + L z.
-
-        Accepts a single draw of shape (M,) or a batch of shape (S, M);
-        the result has the same leading shape.
-        """
+    def apply_factor(self, z):
+        """L z for a single draw of shape (M,) or a batch of shape (S, M)."""
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.dim:
             raise DimensionError(
@@ -96,8 +102,15 @@ class VariationalPosterior:
             )
         blocks = self.blocks
         k, b, _ = blocks.shape
-        per_block = z.reshape(-1, k, b).swapaxes(0, 1) @ blocks.swapaxes(-1, -2)
-        return self.mu + per_block.swapaxes(0, 1).reshape(z.shape)
+        return _factor_times(blocks, z.reshape(-1, k, b).swapaxes(0, 1), z.shape)
+
+    def transform(self, z):
+        """Map standard-normal draws z to parameter space, w = mu + L z.
+
+        Accepts a single draw of shape (M,) or a batch of shape (S, M);
+        the result has the same leading shape.
+        """
+        return self.mu + self.apply_factor(z)
 
     def sample(self, n_draws, rng):
         """Draw n_draws parameter vectors using the supplied Generator."""

@@ -22,10 +22,11 @@ from fsvi import (
     grad_mu,
     kl_gaussian_prior,
     lower_bound_fs,
+    scg_maximise,
     update_alpha,
     update_beta,
 )
-from fsvi.bound import _value_and_grad_L, _value_and_grad_mu
+from fsvi.bound import factor_objective, mu_objective
 from fsvi.exceptions import (
     ConfigError,
     DegenerateFitError,
@@ -363,18 +364,62 @@ def test_full_factor_is_one_block():
 
 
 def test_fused_bound_matches_public_bound_bitwise(model_zoo):
-    # The fit optimises the private fused twins; they must be the public bound.
+    # The fit optimises the block objectives; they must be the public bound.
     rng = np.random.default_rng(19)
     for name, model, hyper in model_zoo:
         m = model.dim
         post = random_posterior(rng, m, factor_scale=0.3)
         samples = SampleSet.generate(6, m, seed=23)
-        value, g_mu = _value_and_grad_mu(model, post, hyper, samples)
+        value, g_mu = mu_objective(model, post, hyper, samples)(post.mu)
         assert value == lower_bound_fs(model, post, hyper, samples), name
         assert np.array_equal(g_mu, grad_mu(model, post, hyper, samples)), name
-        value_l, g_l = _value_and_grad_L(model, post, hyper, samples)
+        value_l, g_l = factor_objective(model, post, hyper, samples)(post.L.ravel())
         assert value_l == value, name
-        assert np.array_equal(g_l, grad_L(model, post, hyper, samples)), name
+        assert np.array_equal(
+            g_l.reshape(post.L.shape), grad_L(model, post, hyper, samples)
+        ), name
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [0.1 * np.eye(2), 0.1 * np.tile(np.eye(2), (2, 1, 1))],
+    ids=["full", "blocks"],
+)
+def test_factor_objective_rejects_candidates_across_the_singular_barrier(factor):
+    m = factor.shape[-1] * (factor.shape[0] if factor.ndim == 3 else 1)
+    # beta = 100 pulls the first two entries of w = mu + L z towards -1 from
+    # a positive factor: the unconstrained optimum of L's first block has a
+    # negative determinant.
+    model = LineModel(np.r_[-1.0, -1.0, np.ones(m - 2)])
+    post = VariationalPosterior(np.zeros(m), factor)
+    samples = SampleSet(draws=np.ones((1, m)), seed=0)
+    objective = factor_objective(model, post, Hyperparameters(1.0, 100.0), samples)
+
+    flipped = factor.copy().reshape(-1, 2, 2)
+    flipped[0, 0] *= -1.0  # one block's determinant changes sign
+    tiny = factor.copy().reshape(-1, 2, 2)
+    tiny[0] *= 1e-160  # that block's determinant falls to 1e-322
+    for cand in (flipped, tiny):
+        value, grad = objective(cand.ravel())
+        assert value == -np.inf
+        assert grad.shape == (factor.size,) and not np.any(grad)
+
+    values = []
+
+    def recorded(x):
+        out = objective(x)
+        values.append(out[0])
+        return out
+
+    start = objective(factor.ravel())[0]
+    res = scg_maximise(recorded, factor.ravel(), max_iters=10, grad_tol=1e-9)
+    assert -np.inf in values, "no step reached the barrier"
+    # Every barrier step was rejected: the end point is finite, better than
+    # the start, and on the start's side of the barrier.
+    assert np.isfinite(res.value) and res.value >= start
+    assert res.value == objective(res.x)[0]
+    blocks = res.x.reshape(-1, 2, 2)
+    assert np.all(np.linalg.det(blocks) > 0.0)
 
 
 def test_reparameterised_draws_match_explicit_construction():

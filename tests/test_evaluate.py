@@ -24,6 +24,7 @@ from fsvi.models import (
     LogisticModel,
     RbfDesign,
     RbfRegressionModel,
+    SkewTarget,
     skew_logdensity,
     synth_classification_data,
     synth_regression_data,
@@ -117,6 +118,19 @@ def test_kld_rejects_unknown_direction():
     log_p = gaussian_logdensity_fn(np.zeros(2), np.eye(2))
     with pytest.raises(ConfigError):
         kld_numerical_2d(log_p, log_p, direction="sideways")
+
+
+def test_kld_takes_densities_as_grid_values():
+    grid = Grid2D.build(resolution=(96, 80))
+    pts = grid.points
+    log_p = SkewTarget([-3.0, 1.0, -1.0, -1.0, -1.0, -1.0]).log_lik_batch
+    log_q = gaussian_logdensity_fn(np.array([-0.5, 0.2]), np.array([[1.2, 0.3], [0.3, 0.9]]))
+    for direction in ("p-to-q", "q-to-p"):
+        from_callables = kld_numerical_2d(log_p, log_q, grid, direction)
+        assert kld_numerical_2d(log_p(pts), log_q(pts), grid, direction) == from_callables
+        assert kld_numerical_2d(log_p(pts), log_q, grid, direction) == from_callables
+    with pytest.raises(DimensionError):
+        kld_numerical_2d(log_p(pts)[:-1], log_q, grid)
 
 
 def test_grid_validation_and_weights():

@@ -9,17 +9,23 @@ import pytest
 
 from fsvi import (
     ExperimentConfig,
+    Grid2D,
     VariationalPosterior,
     corrupt_pixels,
+    gaussian_logdensity_fn,
+    kld_numerical_2d,
+    laplace_approximation,
+    load_posterior,
     mc_accuracy,
     run_experiment,
     synth_image_data,
 )
 from fsvi.exceptions import ConfigError
-from fsvi.experiments import EXPERIMENT_KINDS
+from fsvi.experiments import BIVARIATE_COEFFS, EXPERIMENT_KINDS
 from fsvi.models import (
     LogisticModel,
     RbfDesign,
+    SkewTarget,
     synth_classification_data,
 )
 
@@ -194,3 +200,78 @@ def test_pipeline_writes_its_documented_files_reproducibly(tmp_path, kind):
     _run_tiny(kind, tmp_path / "b")
     rerun = {p.name: p.read_bytes() for p in (tmp_path / "b").iterdir()}
     assert rerun == files, "a rerun wrote different files"
+
+
+# -------------------------------------------------------------- golden bits
+
+# Short pipeline fits pinned with float.hex from a run of the code before
+# the SCG block objectives were built once per block (a separate process):
+# the final trace row (iteration, bound, holdout bound) and the first
+# posterior-mean entries. `blr` has a Gaussian prior and beta, bivariate
+# target 0 a flat prior, cauchy-ppca a block factor and model parameters.
+_GOLDEN = {
+    "blr": (
+        5, "trace_blr.csv", "posterior_blr.txt",
+        ["5", "-0x1.0d27c41dccfcfp+5", "-0x1.2d87a75f539bfp+5"],
+        ["-0x1.248b8629479e2p+1", "0x1.b20d5e256cdf7p-1", "0x1.2542c8b25af75p+1"],
+    ),
+    "bivariate": (
+        5, "trace_bivariate_0.csv", "posterior_bivariate_0.txt",
+        ["5", "-0x1.294b437e0fde0p-3", "-0x1.99b83575045c6p+0"],
+        ["-0x1.90d3871dcad4dp-1", "-0x1.136cf77c3a24fp-4"],
+    ),
+    "cauchy-ppca": (
+        2, "trace_train.csv", "posterior_train_latents.txt",
+        ["2", "-0x1.b918c07615cd5p+17", "-0x1.ba85ee459f812p+17"],
+        ["0x1.d34483960221ep-6", "0x1.94b124ab6631ep-2", "0x1.7caef1c3966b4p-1"],
+    ),
+}
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("kind", sorted(_GOLDEN))
+def test_short_fits_keep_their_bits(tmp_path, kind):
+    iters, trace_name, posterior_name, last_row, mu_head = _GOLDEN[kind]
+    run_experiment(ExperimentConfig(kind=kind, seed=0, out_dir=str(tmp_path),
+                                    max_iter=iters))
+    last = _csv_rows(tmp_path / trace_name)[-1]
+    assert [last[0]] + [float(v).hex() for v in last[1:]] == last_row
+    post, _, _ = load_posterior(str(tmp_path / posterior_name))
+    assert [float(v).hex() for v in post.mu[: len(mu_head)]] == mu_head
+    if kind == "bivariate":
+        # Each grid integral is a 65,536-term BLAS dot product whose last
+        # bits follow the BLAS thread count, so target 0's KL row is checked
+        # against divergences computed here from the density callables.
+        target = SkewTarget(BIVARIATE_COEFFS[0])
+        lap = laplace_approximation(target, seed=0)
+        fits = {
+            "proposed": gaussian_logdensity_fn(post.mu, post.covariance()),
+            "laplace": gaussian_logdensity_fn(lap.mean, lap.covariance),
+        }
+        grid = Grid2D.build()
+        expected = [
+            [method, direction,
+             float(kld_numerical_2d(target.log_lik_batch, log_q, grid, direction))]
+            for method, log_q in fits.items()
+            for direction in ("p-to-q", "q-to-p")
+        ]
+        rows = _csv_rows(tmp_path / "kld_table.csv")
+        assert [[m, d, float(v)] for t, m, d, v in rows[1:] if t == "0"] == expected
+
+
+def test_bivariate_scores_each_target_density_on_the_grid_once(tmp_path, monkeypatch):
+    n_nodes = Grid2D.build().flat_weights.size
+    grid_calls = []
+    log_lik_batch = SkewTarget.log_lik_batch
+
+    def counted(self, w_batch):
+        if len(w_batch) == n_nodes:
+            grid_calls.append(tuple(np.ravel(self.coeff)))
+        return log_lik_batch(self, w_batch)
+
+    monkeypatch.setattr(SkewTarget, "log_lik_batch", counted)
+    run_experiment(ExperimentConfig(kind="bivariate", seed=0, out_dir=str(tmp_path),
+                                    n_samples=10, max_iter=2))
+    # One pass per target, not one per divergence.
+    assert len(grid_calls) == len(set(grid_calls)) == 3

@@ -7,6 +7,8 @@ from conftest import PriorOnlyModel
 from fsvi import (
     FitConfig,
     Hyperparameters,
+    SampleSet,
+    VariationalPosterior,
     exact_blr_posterior,
     fit,
     fit_cauchy_ppca,
@@ -18,6 +20,7 @@ from fsvi.exceptions import (
     InsufficientDataError,
     NumericalFailureError,
 )
+from fsvi.fit import _optimise_mu
 from fsvi.models import (
     GaussianTarget,
     RbfDesign,
@@ -144,6 +147,27 @@ def test_gaussian_target_reaches_draw_conditional_optimum():
     )
     assert np.max(np.abs(big.posterior.mu - mean)) < 0.05
     assert np.max(np.abs(big.posterior.covariance() - cov)) < 0.08
+
+
+def test_mean_block_factors_its_fixed_factor_once(monkeypatch):
+    # L is fixed in the mean block: its log-determinant is computed when
+    # the block's objective is built, not at each of its evaluations.
+    x, y = synth_regression_data(60, 0, noise_sd=0.2)
+    model = RbfRegressionModel(x, y, RbfDesign.from_inputs(x, 1.0, n_centres=20))
+    rng = np.random.default_rng(0)
+    post = VariationalPosterior(rng.standard_normal(model.dim), 0.1 * np.eye(model.dim))
+    samples = SampleSet.generate(100, model.dim, seed=1)
+    calls = []
+    slogdet = np.linalg.slogdet
+
+    def counted(a):
+        calls.append(a.shape)
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    moved = _optimise_mu(model, post, Hyperparameters(0.1, 0.1), samples, 10)
+    assert not np.array_equal(moved.mu, post.mu)
+    assert len(calls) <= 1
 
 
 def test_non_finite_bound_raises_at_iteration_zero():

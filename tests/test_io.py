@@ -160,6 +160,22 @@ def test_load_rejects_bad_alpha_token(tmp_path):
         load_posterior(path)
 
 
+def test_load_rejects_non_integer_seed(tmp_path):
+    path = _write(
+        tmp_path,
+        "gaussian-posterior 1\nm 1\nseed abc\nalpha 1\nmu 0\nL 1\n",
+    )
+    with pytest.raises(PosteriorIOError, match="malformed numeric"):
+        load_posterior(path)
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "post.txt"
+    path.write_bytes(b"gaussian-posterior 1\nm 1\nseed none\nalpha 1\nmu 0\xff\nL 1\n")
+    with pytest.raises(PosteriorIOError, match="not UTF-8"):
+        load_posterior(str(path))
+
+
 # ------------------------------------------------------------------- datasets
 
 
