@@ -12,10 +12,16 @@ from .exceptions import (
     RankError,
 )
 from .models.base import _LN_2PI, _noise_args
+from .models.skew import GaussianTarget
 from .scg import scg_maximise
 
 # Eigenvalues of -H at or below this are treated as a flat direction.
 _CURVATURE_FLOOR = 1e-8
+# Laplace mode search: starting points, and SCG iterations from each.
+_LAPLACE_STARTS = 10
+_LAPLACE_MODE_ITERS = 500
+# Relative step of the finite-difference Hessian.
+_FD_STEP = 1e-5
 
 
 @dataclass
@@ -38,22 +44,15 @@ class GaussianPosteriorExact:
         if asym > 1e-12 * scale:
             raise DimensionError(f"covariance is asymmetric by {asym}")
         try:
-            cho_factor(self.covariance, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise IndefiniteHessianError(
-                f"covariance is not positive definite: {exc}"
-            ) from exc
+            self._density = GaussianTarget(self.mean, self.covariance)
+        except DimensionError as exc:
+            raise IndefiniteHessianError("covariance is not positive definite") from exc
 
     def sample(self, n_draws, rng):
         return rng.multivariate_normal(self.mean, self.covariance, size=n_draws)
 
     def logpdf(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cho = cho_factor(self.covariance, lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-        d = pts - self.mean
-        maha = np.sum(d * cho_solve(cho, d.T).T, axis=1)
-        out = -0.5 * (self.mean.size * _LN_2PI + logdet + maha)
+        out = self._density.log_lik_batch(np.atleast_2d(points))
         return out if np.asarray(points).ndim > 1 else float(out[0])
 
 
@@ -109,21 +108,13 @@ def _fd_hessian(grad_fn, w, step_scale):
     return 0.5 * (hess + hess.T)
 
 
-def laplace_approximation(
-    model,
-    hyper=None,
-    start=None,
-    n_restarts=10,
-    seed=0,
-    mode_iters=500,
-    fd_step=1e-5,
-):
+def laplace_approximation(model, hyper=None, start=None, seed=0):
     """Gaussian approximation N(mode, (-H)^{-1}) around the posterior mode.
 
-    The mode search runs scaled conjugate gradients from `n_restarts`
+    The mode search runs scaled conjugate gradients from `_LAPLACE_STARTS`
     seed-derived starting points and keeps the best. The Hessian H comes
     from central finite differences of the analytic gradient with step
-    fd_step * (1 + |w_i|) per coordinate. A -H that is not positive
+    `_FD_STEP` * (1 + |w_i|) per coordinate. A -H that is not positive
     definite (any eigenvalue at or below a small floor) raises
     IndefiniteHessianError carrying the eigenvalues.
     """
@@ -134,19 +125,23 @@ def laplace_approximation(
         else np.asarray(start, dtype=float).copy()
     )
     starts = [base]
-    starts.extend(base + rng.standard_normal(model.dim) for _ in range(n_restarts - 1))
+    starts.extend(
+        base + rng.standard_normal(model.dim) for _ in range(_LAPLACE_STARTS - 1)
+    )
 
     def objective(w):
         return _log_joint_and_grad(model, w, hyper)
 
     best = None
     for x0 in starts:
-        res = scg_maximise(objective, x0, max_iters=mode_iters, grad_tol=1e-10)
+        res = scg_maximise(
+            objective, x0, max_iters=_LAPLACE_MODE_ITERS, grad_tol=1e-10
+        )
         if best is None or res.value > best.value:
             best = res
     mode = best.x
 
-    hess = _fd_hessian(lambda w: _log_joint_and_grad(model, w, hyper)[1], mode, fd_step)
+    hess = _fd_hessian(lambda w: _log_joint_and_grad(model, w, hyper)[1], mode, _FD_STEP)
     eigvals, eigvecs = np.linalg.eigh(-hess)
     if eigvals.min() <= _CURVATURE_FLOOR:
         raise IndefiniteHessianError(

@@ -19,7 +19,7 @@ from .exceptions import (
     DimensionError,
 )
 from .models.base import GaussianNoiseModel, _LN_2PI, _noise_args
-from .posterior import _LOG_DET_FLOOR, _factor_times, _slogdet_blocks
+from .posterior import _factor_times, _is_singular, _slogdet_blocks
 
 
 def _check_dims(model, post, samples):
@@ -33,53 +33,41 @@ def _check_dims(model, post, samples):
         )
 
 
-def _kl_fn(alpha, m):
-    """KL(q || N(0, I/alpha)) as a function of E_q[w^T w] and ln|det L|.
+def _prior_term(prior, alpha, m):
+    """The prior term as a function of E_q[w^T w] and ln|det L|.
 
-    The log-determinant of alpha L L^T is assembled as M ln(alpha)
-    + 2 ln|det L| rather than formed from the product matrix.
+    Under a flat prior, the entropy of q = N(mu, L L^T); under a Gaussian
+    one, -KL(q || N(0, I/alpha)), whose log-determinant of alpha L L^T is
+    assembled as M ln(alpha) + 2 ln|det L| rather than formed from the
+    product matrix.
     """
+    if prior == "flat":
+        const = 0.5 * m * (_LN_2PI + 1.0)
+        return lambda sq, logdet: const + logdet
     if alpha is None or alpha <= 0.0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
     m_log_alpha = m * np.log(alpha)
-
-    def kl(sq, logdet):
-        return 0.5 * (alpha * sq - m - m_log_alpha - 2.0 * logdet)
-
-    return kl
-
-
-def _entropy_fn(m):
-    """Entropy of q = N(mu, L L^T) as a function of ln|det L|."""
-    const = 0.5 * m * (_LN_2PI + 1.0)
-
-    def entropy(logdet):
-        return const + logdet
-
-    return entropy
+    return lambda sq, logdet: -0.5 * (alpha * sq - m - m_log_alpha - 2.0 * logdet)
 
 
 def kl_gaussian_prior(post, alpha):
     """KL(q || N(0, I/alpha)) for q = N(mu, L L^T), in closed form."""
-    kl = _kl_fn(alpha, post.dim)
-    return kl(post.second_moment(), post.log_abs_det_factor())
+    neg_kl = _prior_term("gaussian", alpha, post.dim)
+    return -neg_kl(post.second_moment(), post.log_abs_det_factor())
 
 
 def gaussian_entropy(post):
     """Differential entropy of q = N(mu, L L^T)."""
-    return _entropy_fn(post.dim)(post.log_abs_det_factor())
+    return _prior_term("flat", None, post.dim)(None, post.log_abs_det_factor())
 
 
-def _prior_term_fn(model, hyper, m):
-    """The prior term as a function of E_q[w^T w] and ln|det L|.
-
-    The Gaussian entropy under a flat prior, else the negated prior KL.
-    """
-    if model.prior == "flat":
-        entropy = _entropy_fn(m)
-        return lambda sq, logdet: entropy(logdet)
-    kl = _kl_fn(hyper.alpha, m)
-    return lambda sq, logdet: -kl(sq, logdet)
+def _setup(model, post, hyper, samples):
+    """(noise arguments, prior term, Gaussian precision or None, ln|det L|)."""
+    _check_dims(model, post, samples)
+    noise = _noise_args(model, hyper)
+    prior = model.prior
+    alpha = hyper.alpha if prior == "gaussian" else None
+    return noise, _prior_term(prior, alpha, post.dim), alpha, post.log_abs_det_factor()
 
 
 def lower_bound_fs(model, post, hyper, samples):
@@ -88,11 +76,10 @@ def lower_bound_fs(model, post, hyper, samples):
     Deterministic given `samples`; two calls with the same arguments
     return the identical value. Evaluates the likelihood values only.
     """
-    _check_dims(model, post, samples)
-    prior = _prior_term_fn(model, hyper, post.dim)
+    noise, prior, _, logdet = _setup(model, post, hyper, samples)
     w = post.transform(samples.draws)
-    mean_ll = float(np.mean(model.log_lik_batch(w, *_noise_args(model, hyper))))
-    return mean_ll + prior(post.second_moment(), post.log_abs_det_factor())
+    mean_ll = float(np.mean(model.log_lik_batch(w, *noise)))
+    return mean_ll + prior(post.second_moment(), logdet)
 
 
 def mu_objective(model, post, hyper, samples):
@@ -102,12 +89,8 @@ def mu_objective(model, post, hyper, samples):
     tr(L L^T)) is computed here, once; each evaluation is one model pass.
     Raises InvalidPosteriorError if post.L is singular.
     """
-    _check_dims(model, post, samples)
-    noise = _noise_args(model, hyper)
-    prior = _prior_term_fn(model, hyper, post.dim)
-    alpha = hyper.alpha if model.prior == "gaussian" else None
+    noise, prior, alpha, logdet = _setup(model, post, hyper, samples)
     lz = post.apply_factor(samples.draws)
-    logdet = post.log_abs_det_factor()
     tr_llt = float(np.sum(post.L * post.L))
 
     def objective(mu):
@@ -128,18 +111,14 @@ def factor_objective(model, post, hyper, samples):
     z_s^T, restricted to the blocks of L; the prior/entropy term
     contributes the transposed inverse of each block (and -alpha L under
     a Gaussian prior). A candidate whose determinant changes sign from
-    post.L's, or falls below the 1e-300 floor, has crossed the singular
-    barrier: it evaluates to (-inf, zero gradient), which SCG rejects.
-    Raises InvalidPosteriorError if post.L itself is singular.
+    post.L's, or that `posterior._is_singular` rejects, has crossed the
+    singular barrier: it evaluates to (-inf, zero gradient), which SCG
+    rejects. Raises InvalidPosteriorError if post.L itself is singular.
     """
-    _check_dims(model, post, samples)
-    noise = _noise_args(model, hyper)
-    prior = _prior_term_fn(model, hyper, post.dim)
-    alpha = hyper.alpha if model.prior == "gaussian" else None
-    post.log_abs_det_factor()  # raises on a singular start
+    noise, prior, alpha, _ = _setup(model, post, hyper, samples)
     sign0 = post.factor_slogdet[0]
-    shape = post.L.shape
-    k, b, _ = post.blocks.shape
+    shape = post.blocks.shape
+    k, b, _ = shape
     z = samples.draws
     s = samples.size
     zk = z.reshape(s, k, b).swapaxes(0, 1)
@@ -147,10 +126,9 @@ def factor_objective(model, post, hyper, samples):
     mu_sq = float(mu @ mu)
 
     def objective(x):
-        factor = x.reshape(shape)
-        blocks = factor[None] if factor.ndim == 2 else factor
+        blocks = x.reshape(shape)
         sign, logdet = _slogdet_blocks(blocks)
-        if sign != sign0 or logdet < _LOG_DET_FLOOR:
+        if sign != sign0 or _is_singular(sign, logdet):
             # The candidate crossed the singular barrier; SCG rejects it.
             return -np.inf, np.zeros_like(x)
         w = mu + _factor_times(blocks, zk, z.shape)
@@ -158,7 +136,7 @@ def factor_objective(model, post, hyper, samples):
         g = grads.reshape(s, k, b).transpose(1, 2, 0) @ zk / s
         if alpha is not None:
             g = g - alpha * blocks
-        sq = mu_sq + float(np.sum(factor * factor))
+        sq = mu_sq + float(np.sum(blocks * blocks))
         value = float(np.mean(values)) + prior(sq, logdet)
         g = g + np.linalg.inv(blocks).swapaxes(-1, -2)
         return value, g.reshape(x.shape)

@@ -55,7 +55,9 @@ class Grid2D:
         return self.weights.ravel()
 
     def integrate(self, values):
-        return float(self.flat_weights @ np.asarray(values, dtype=float).ravel())
+        # A fixed-order (pairwise) sum, not a BLAS dot: its bits do not
+        # depend on the BLAS thread count.
+        return float(np.sum(self.flat_weights * np.asarray(values, dtype=float).ravel()))
 
 
 def gaussian_logdensity_fn(mean, cov):

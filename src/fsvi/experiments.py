@@ -40,6 +40,9 @@ from .models import (
 )
 from .posterior import Hyperparameters
 
+# The gray range corrupt_pixels draws replacement values from.
+_PIXEL_RANGE = (0.0, 255.0)
+
 # blr-overfit's small draw budget, fitted next to config.n_samples.
 _OVERFIT_SMALL_SAMPLES = 10
 
@@ -105,8 +108,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_samples is None:
             self.n_samples = pipeline.n_samples
-        if self.n_holdout is None:
-            self.n_holdout = pipeline.n_holdout or 5 * self.n_samples
         if self.max_iter is None:
             self.max_iter = pipeline.max_iter
         if (pipeline.runner is _run_blr_overfit
@@ -116,7 +117,9 @@ class ExperimentConfig:
                 f"{_OVERFIT_SMALL_SAMPLES} draws, so n_samples must not be "
                 f"{_OVERFIT_SMALL_SAMPLES}"
             )
-        _fit_config(self)  # FitConfig checks the ranges of the fit settings.
+        # FitConfig checks the ranges of the fit settings and owns the
+        # held-out default.
+        self.n_holdout = _fit_config(self).n_holdout
         if self.n_holdout <= self.n_samples:
             raise ConfigError(
                 f"holdout draws ({self.n_holdout}) must exceed fit draws "
@@ -394,7 +397,7 @@ def synth_image_data(n, seed, shape=(24, 21), latent_dim=2, noise_sd=2.0):
     return images, loading, offset
 
 
-def corrupt_pixels(images, fraction, seed, low=0.0, high=255.0):
+def corrupt_pixels(images, fraction, seed):
     """Replace a fixed fraction of each image's pixels with uniform draws."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"fraction must lie in (0, 1), got {fraction}")
@@ -404,7 +407,7 @@ def corrupt_pixels(images, fraction, seed, low=0.0, high=255.0):
     k = int(round(fraction * d))
     for row in out:
         idx = rng.choice(d, size=k, replace=False)
-        row[idx] = rng.uniform(low, high, size=k)
+        row[idx] = rng.uniform(*_PIXEL_RANGE, size=k)
     return out
 
 
@@ -489,13 +492,12 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
 
 
 # Each experiment kind: its runner and its defaults for n_samples and
-# max_iter (and n_holdout where 5 * n_samples does not suit).
-_Pipeline = namedtuple("_Pipeline", "runner n_samples max_iter n_holdout",
-                       defaults=(None,))
+# max_iter.
+_Pipeline = namedtuple("_Pipeline", "runner n_samples max_iter")
 _PIPELINES = {
     "bivariate": _Pipeline(_run_bivariate, 50, 150),
     "blr": _Pipeline(_run_blr, 100, 150),
-    "blr-overfit": _Pipeline(_run_blr_overfit, 100, 40, n_holdout=500),
+    "blr-overfit": _Pipeline(_run_blr_overfit, 100, 40),
     "logistic": _Pipeline(_run_logistic, 200, 100),
     "multiclass": _Pipeline(_run_multiclass, 200, 80),
     "cauchy-ppca": _Pipeline(_run_cauchy_ppca, 20, 40),

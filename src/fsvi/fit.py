@@ -32,6 +32,8 @@ from .scg import scg_maximise
 _INNER_GRAD_TOL = 1e-9
 # Monitor verdict needs at least this many recorded iterations.
 _MIN_MONITOR_ITERS = 10
+# A held-out drop counts once it exceeds this fraction of the held-out range.
+_MONITOR_MARGIN = 0.01
 
 
 @dataclass
@@ -163,7 +165,7 @@ def fit(model, config=None, seed=0):
     for iteration in range(1, config.max_iter + 1):
         post = _optimise_mu(model, post, hyper, samples, config.inner_iters)
         post = _optimise_factor(model, post, hyper, samples, config.inner_iters)
-        if model.prior == "gaussian" and not config.fix_alpha:
+        if hyper.alpha is not None and not config.fix_alpha:
             hyper = Hyperparameters(alpha=update_alpha(post), beta=hyper.beta)
         if hyper.beta is not None and not config.fix_beta:
             hyper = Hyperparameters(
@@ -198,11 +200,11 @@ def fit(model, config=None, seed=0):
     )
 
 
-def monitor_generalisation(trace, margin_fraction=0.01):
+def monitor_generalisation(trace):
     """Classify a fit trace as "ok" or "overfitting".
 
     Overfitting is declared when the holdout bound has dropped from its
-    running maximum by more than `margin_fraction` of its overall range
+    running maximum by more than `_MONITOR_MARGIN` of its overall range
     while the training bound kept increasing over the same stretch.
     Requires at least 10 recorded iterations.
     """
@@ -213,7 +215,7 @@ def monitor_generalisation(trace, margin_fraction=0.01):
     rows = np.asarray([(row[1], row[2]) for row in trace], dtype=float)
     train = rows[:, 0]
     hold = rows[:, 1]
-    margin = margin_fraction * (hold.max() - hold.min())
+    margin = _MONITOR_MARGIN * (hold.max() - hold.min())
 
     best = hold[0]
     best_at = 0

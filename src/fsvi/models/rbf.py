@@ -5,6 +5,9 @@ import numpy as np
 from ..exceptions import ConfigError, DimensionError
 from .base import GaussianNoiseModel, _LN_2PI
 
+# The input interval of the synthetic regression data.
+_SYNTH_X_RANGE = (-6.0, 6.0)
+
 
 class RbfDesign:
     """Feature map phi(x) = [exp(-||x - c_k||^2 / (2 r^2)), ..., 1].
@@ -120,15 +123,15 @@ def true_regression_curve(x):
     return 2.0 * np.cos(x) * np.sin(x) - 0.1 * x**2
 
 
-def synth_regression_data(n, seed, noise_sd=0.2, x_range=(-6.0, 6.0)):
+def synth_regression_data(n, seed, noise_sd=0.2):
     """Sample (x, y) pairs from the synthetic curve with Gaussian noise.
 
-    Inputs are uniform on x_range and y = 2 cos(x) sin(x) - 0.1 x^2 plus
+    Inputs are uniform on [-6, 6] and y = 2 cos(x) sin(x) - 0.1 x^2 plus
     N(0, noise_sd^2) noise. Fully determined by the seed.
     """
     if n < 1:
         raise ConfigError(f"need at least one datum, got {n}")
     rng = np.random.default_rng(seed)
-    x = rng.uniform(x_range[0], x_range[1], size=n)
+    x = rng.uniform(*_SYNTH_X_RANGE, size=n)
     y = true_regression_curve(x) + noise_sd * rng.standard_normal(n)
     return x, y

@@ -10,8 +10,7 @@ from scipy.linalg import block_diag
 from .exceptions import ConfigError, DimensionError, InvalidPosteriorError
 
 # |det L| below this is treated as singular everywhere.
-_DET_FLOOR = 1e-300
-_LOG_DET_FLOOR = np.log(_DET_FLOOR)
+_LOG_DET_FLOOR = np.log(1e-300)
 
 
 def _slogdet_blocks(blocks):
@@ -19,6 +18,11 @@ def _slogdet_blocks(blocks):
     # Python reductions: numpy's cost more than the work for small K.
     sign, logdet = np.linalg.slogdet(blocks)
     return math.prod(sign.tolist()), sum(logdet.tolist())
+
+
+def _is_singular(sign, logdet):
+    """The singular rule, given (sign, ln|det L|): a zero sign, or |det L| < 1e-300."""
+    return sign == 0.0 or logdet < _LOG_DET_FLOOR
 
 
 def _factor_times(blocks, zk, shape):
@@ -81,7 +85,7 @@ class VariationalPosterior:
         Raises InvalidPosteriorError when |det L| falls below 1e-300.
         """
         sign, logdet = self.factor_slogdet
-        if sign == 0.0 or logdet < _LOG_DET_FLOOR:
+        if _is_singular(sign, logdet):
             raise InvalidPosteriorError("posterior factor L is singular")
         return logdet
 

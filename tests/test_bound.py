@@ -422,6 +422,35 @@ def test_factor_objective_rejects_candidates_across_the_singular_barrier(factor)
     assert np.all(np.linalg.det(blocks) > 0.0)
 
 
+def _near_floor_factor(det, blocked):
+    """A factor with |det L| = det: one full 2x2 factor, or two 2x2 blocks
+    whose determinants multiply to det."""
+    if not blocked:
+        return np.array([[det / 1e-150, 0.5], [0.0, 1e-150]])
+    return np.stack([np.diag([1e-150, 1.0]), np.array([[det / 1e-150, 0.0], [3.0, 1.0]])])
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["full", "blocks"])
+def test_log_det_and_factor_barrier_share_one_singular_rule(blocked):
+    m = 4 if blocked else 2
+    start = np.eye(m) if not blocked else np.tile(np.eye(2), (2, 1, 1))
+    post = VariationalPosterior(np.zeros(m), start)
+    samples = SampleSet.generate(3, m, seed=0)
+    objective = factor_objective(PriorOnlyModel(m), post, Hyperparameters(1.0), samples)
+    for det in (1.01e-300, 0.99e-300, 0.0):
+        factor = _near_floor_factor(det, blocked)
+        try:
+            VariationalPosterior(post.mu, factor).log_abs_det_factor()
+            singular = False
+        except InvalidPosteriorError:
+            singular = True
+        assert singular == (det < 1e-300), det
+        value, grad = objective(factor.ravel())
+        barrier = value == -np.inf and not np.any(grad)
+        assert barrier == singular, det
+        assert barrier or np.all(np.isfinite(grad)), det
+
+
 def test_reparameterised_draws_match_explicit_construction():
     rng = np.random.default_rng(8)
     post = random_posterior(rng, 4)
