@@ -52,8 +52,8 @@ class GaussianPosteriorExact:
         return rng.multivariate_normal(self.mean, self.covariance, size=n_draws)
 
     def logpdf(self, points):
-        out = self._density.log_lik_batch(np.atleast_2d(points))
-        return out if np.asarray(points).ndim > 1 else float(out[0])
+        """Log-density at each row of points."""
+        return self._density.log_lik_batch(points)
 
 
 def exact_blr_posterior(design_matrix, targets, alpha, beta):
@@ -87,7 +87,8 @@ def log_joint(model, w, hyper=None):
 
 def _log_joint_and_grad(model, w, hyper):
     w = np.asarray(w, dtype=float)
-    value, grad = model.log_lik_and_grad(w, *_noise_args(model, hyper))
+    values, grads = model.log_lik_and_grad_batch(w[None], *_noise_args(model, hyper))
+    value, grad = float(values[0]), grads[0]
     if model.prior == "gaussian":
         if hyper is None or hyper.alpha is None:
             raise ConfigError("Gaussian-prior model needs hyper.alpha for the log joint")
@@ -160,14 +161,15 @@ class MlPpcaFit:
     offset: np.ndarray
     noise_variance: float
 
-    def reconstruct(self, data):
-        """Posterior-mean latent of each row mapped back to data space."""
-        y = np.atleast_2d(np.asarray(data, dtype=float))
+    def latents(self, data):
+        """Posterior-mean latent of each row of data, shape (N, latent_dim)."""
         w = self.loading
         m = w.T @ w + self.noise_variance * np.eye(w.shape[1])
-        latent = np.linalg.solve(m, w.T @ (y - self.offset).T).T
-        out = latent @ w.T + self.offset
-        return out if np.asarray(data).ndim > 1 else out[0]
+        return np.linalg.solve(m, w.T @ (np.asarray(data, dtype=float) - self.offset).T).T
+
+    def reconstruct(self, data):
+        """Posterior-mean latent of each row mapped back to data space."""
+        return self.latents(data) @ self.loading.T + self.offset
 
 
 def ml_ppca_fit(data, latent_dim):

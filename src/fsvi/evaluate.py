@@ -10,7 +10,7 @@ from .exceptions import (
     DataFormatError,
     DimensionError,
 )
-from .models.base import _LN_2PI
+from .models.skew import GaussianTarget
 
 _MIN_RESOLUTION = 64
 _COVERAGE = 1.0 - 1e-6
@@ -62,42 +62,26 @@ class Grid2D:
 
 def gaussian_logdensity_fn(mean, cov):
     """Callable evaluating the N(mean, cov) log-density on rows of points."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() <= 0.0:
-        raise DimensionError("covariance must be positive definite")
-    logdet = float(np.sum(np.log(eigvals)))
-
-    def logpdf(points):
-        d = np.atleast_2d(np.asarray(points, dtype=float)) - mean
-        proj = d @ eigvecs
-        maha = np.sum(proj * proj / eigvals, axis=1)
-        return -0.5 * (mean.size * _LN_2PI + logdet + maha)
-
-    return logpdf
+    return GaussianTarget(mean, cov).log_lik_batch
 
 
-def kld_numerical_2d(log_p, log_q, grid=None, direction="p-to-q"):
+def kld_numerical_2d(log_p, log_q, grid, direction):
     """Trapezoidal-quadrature Kullback-Leibler divergence between 2-D densities.
 
+    log_p and log_q are the log-densities' values at `grid.points`, so a
+    density scored in several divergences is evaluated on the grid once.
     Both densities are renormalised on the grid before integration, the
     convention 0 ln 0 = 0 applies where the leading density underflows,
     and the grid must capture at least 1 - 1e-6 of each density's mass or
     a CoverageError (carrying both measured masses) is raised.
 
     direction "p-to-q" integrates p ln(p/q); "q-to-p" swaps the roles.
-    Each of log_p and log_q is either a callable evaluating the log-density
-    on rows of points, or its values at `grid.points`, so a density scored
-    in several divergences is evaluated on the grid once.
     """
     if direction not in ("p-to-q", "q-to-p"):
         raise ConfigError(f"unknown direction {direction!r}")
-    grid = grid or Grid2D.build()
     n = grid.weights.size
-    pts = grid.points if callable(log_p) or callable(log_q) else None
-    lp = np.asarray(log_p(pts) if callable(log_p) else log_p, dtype=float)
-    lq = np.asarray(log_q(pts) if callable(log_q) else log_q, dtype=float)
+    lp = np.asarray(log_p, dtype=float)
+    lq = np.asarray(log_q, dtype=float)
     if lp.shape != (n,) or lq.shape != (n,):
         raise DimensionError("log-densities must have one value per grid point")
 
@@ -118,20 +102,13 @@ def kld_numerical_2d(log_p, log_q, grid=None, direction="p-to-q"):
     return grid.integrate(integrand)
 
 
-def predictive_mc(post, model, inputs, n_draws=200, seed=0, plugin=False):
+def predictive_mc(post, model, inputs, n_draws=200, seed=0):
     """Monte-Carlo predictive under parameter draws w ~ N(mu, L L^T).
 
     Classification models (predictions of shape (n, K)) yield averaged
     class probabilities. Regression models (predictions of shape (n,))
-    yield a (mean, variance) pair of arrays. With plugin=True no draws are
-    taken and the prediction at mu is returned in the same layout, which
-    also admits a degenerate (even zero) factor.
+    yield a (mean, variance) pair of arrays.
     """
-    if plugin:
-        pred = model.predict(post.mu, inputs)
-        if pred.ndim == 2:
-            return pred
-        return pred, np.zeros_like(pred)
     if n_draws < 1:
         raise ConfigError(f"n_draws must be >= 1, got {n_draws}")
     post.log_abs_det_factor()  # raises InvalidPosteriorError on singular L

@@ -46,6 +46,29 @@ _PIXEL_RANGE = (0.0, 255.0)
 # blr-overfit's small draw budget, fitted next to config.n_samples.
 _OVERFIT_SMALL_SAMPLES = 10
 
+# The synthetic blr problem: data size and noise, RBF centres and width.
+_BLR_N_DATA = 60
+_BLR_NOISE_SD = 0.2
+_BLR_N_CENTRES = 20
+_BLR_WIDTH = 1.0
+
+# RBF width of the classification designs, and multiclass's class count.
+_CLASSIFY_WIDTH = 0.5
+_MULTICLASS_K = 3
+
+# cauchy-ppca's synthetic images: shape, rank, count and pixel noise, and
+# the fraction of each image's pixels that is corrupted.
+_IMAGE_SHAPE = (24, 21)
+_LATENT_DIM = 2
+_N_IMAGES = 200
+_IMAGE_NOISE_SD = 2.0
+_CORRUPTION = 1.0 / 3.0
+
+# Posterior parameter draws behind each accuracy and test MSE.
+_SCORE_DRAWS = 200
+# Fixed draws of each spectrum fit.
+_SPECTRUM_SAMPLES = 50
+
 # The three skewed bivariate targets run by default.
 BIVARIATE_COEFFS = (
     (-3.0, 1.0, -1.0, -1.0, -1.0, -1.0),
@@ -76,9 +99,9 @@ class ExperimentConfig:
     data: str | None = None
     n_samples: int | None = None
     n_holdout: int | None = None
-    inner_iters: int = 10
+    inner_iters: int = FitConfig.inner_iters
     max_iter: int | None = None
-    tol: float = 1e-4
+    tol: float = FitConfig.tol
 
     def __post_init__(self):
         # A tuple test: the kind may be an unhashable value from a JSON config.
@@ -163,7 +186,7 @@ def _save_fit(config, report, trace_name, posterior_name=None, seed=None):
     )
 
 
-def mc_accuracy(post, model, inputs, labels, n_draws=200, seed=0):
+def mc_accuracy(post, model, inputs, labels, seed=0):
     """Accuracy under each posterior parameter draw, averaged over draws.
 
     Labels are integers; a one-hot matrix is converted first. Ties between
@@ -172,7 +195,7 @@ def mc_accuracy(post, model, inputs, labels, n_draws=200, seed=0):
     y = np.asarray(labels)
     if y.ndim == 2:
         y = np.argmax(y, axis=1)
-    draws = post.sample(n_draws, np.random.default_rng(seed))
+    draws = post.sample(_SCORE_DRAWS, np.random.default_rng(seed))
     probs = model.predict_batch(draws, inputs)
     hits = np.argmax(probs, axis=2) == y[None, :]
     return float(np.mean(hits))
@@ -226,13 +249,13 @@ def _run_bivariate(config):
     return metrics
 
 
-def _blr_problem(config, n_data=60, n_centres=20, width=1.0, noise_sd=0.2):
+def _blr_problem(config):
     if config.data is not None:
         x, y = load_csv_dataset(config.data, "regression")
         x = x[:, 0]
     else:
-        x, y = synth_regression_data(n_data, config.seed, noise_sd=noise_sd)
-    design = RbfDesign.from_inputs(x, width, n_centres=n_centres)
+        x, y = synth_regression_data(_BLR_N_DATA, config.seed, noise_sd=_BLR_NOISE_SD)
+    design = RbfDesign.from_inputs(x, _BLR_WIDTH, n_centres=_BLR_N_CENTRES)
     return x, y, design, RbfRegressionModel(x, y, design)
 
 
@@ -306,11 +329,11 @@ def _discover_splits(path):
 _SYNTH_BLOBS = {2: (1.75, 0.5), 3: (1.1, 0.25)}
 
 
-def _classification_splits(config, schema, n_classes=None):
+def _classification_splits(config, schema, n_classes):
     """Yield (x_train, y_train, x_test, y_test) tuples for the config source."""
     if config.data is None:
         k = 2 if schema == "binary" else n_classes
-        separation, spread = _SYNTH_BLOBS.get(k, (1.75, 0.5))
+        separation, spread = _SYNTH_BLOBS[k]
         x, labels = synth_classification_data(
             k, 400, config.seed, separation=separation, spread=spread
         )
@@ -332,15 +355,14 @@ def _classification_splits(config, schema, n_classes=None):
     return [(x[tr], y[tr], x[te], y[te])]
 
 
-def _run_classification(config, schema, n_classes, make_model, width=0.5,
-                        synth_n_centres=None):
+def _run_classification(config, schema, n_classes, make_model, synth_n_centres):
     splits = _classification_splits(config, schema, n_classes)
     # User-supplied data keeps every training point as a centre; the
     # synthetic tasks subsample so the stacked posterior stays small.
     n_centres = synth_n_centres if config.data is None else None
     accuracies = []
     for i, (xtr, ytr, xte, yte) in enumerate(splits):
-        design = RbfDesign.from_inputs(xtr, width, n_centres=n_centres)
+        design = RbfDesign.from_inputs(xtr, _CLASSIFY_WIDTH, n_centres=n_centres)
         model = make_model(xtr, ytr, design)
         report = fit(model, _fit_config(config), seed=config.seed + i)
         accuracies.append(
@@ -363,13 +385,13 @@ def _run_logistic(config):
     return _run_classification(config, "binary", None, LogisticModel, synth_n_centres=25)
 
 
-def _run_multiclass(config, n_classes=3):
+def _run_multiclass(config):
     return _run_classification(
-        config, "one-hot", n_classes, SoftmaxModel, synth_n_centres=20
+        config, "one-hot", _MULTICLASS_K, SoftmaxModel, synth_n_centres=20
     )
 
 
-def synth_image_data(n, seed, shape=(24, 21), latent_dim=2, noise_sd=2.0):
+def synth_image_data(n, seed, shape=_IMAGE_SHAPE, latent_dim=_LATENT_DIM):
     """Rank-`latent_dim` synthetic grayscale images around mid-gray.
 
     Columns of the loading are smooth pixel patterns, so the images look
@@ -393,7 +415,7 @@ def synth_image_data(n, seed, shape=(24, 21), latent_dim=2, noise_sd=2.0):
     rng = np.random.default_rng(seed)
     latents = rng.standard_normal((n, latent_dim))
     images = latents @ loading.T + offset
-    images += noise_sd * rng.standard_normal(images.shape)
+    images += _IMAGE_NOISE_SD * rng.standard_normal(images.shape)
     return images, loading, offset
 
 
@@ -427,22 +449,18 @@ def fit_cauchy_ppca(train, latent_dim, config, seed):
 
     Starts from the closed-form Gaussian-noise solution and a robust scale
     estimate of its residuals, then optimises everything on the bound.
-    Returns the fit report and the fitted model.
+    Returns the fit report (its `model` is the fitted model) and that
+    Gaussian-noise solution.
     """
     warm = ml_ppca_fit(train, latent_dim)
     residuals = train - warm.reconstruct(train)
     scale = max(float(np.median(np.abs(residuals))), 1e-3)
     params = CauchyPpcaParams(warm.loading, warm.offset, scale)
-    init_mu = np.linalg.solve(
-        warm.loading.T @ warm.loading + warm.noise_variance * np.eye(latent_dim),
-        warm.loading.T @ (train - warm.offset).T,
-    ).T.ravel()
-    report = _fit_latents(train, params, config, seed, init_mu)
-    return report, report.model
+    report = _fit_latents(train, params, config, seed, warm.latents(train).ravel())
+    return report, warm
 
 
-def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
-                     corruption=1.0 / 3.0):
+def _run_cauchy_ppca(config):
     """Denoising on corrupted synthetic images: Cauchy noise vs Gaussian."""
     if config.data is not None:
         # Image files carry pixels only; the loader's target column is
@@ -450,15 +468,14 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
         features, last = load_csv_dataset(config.data, "regression")
         clean = np.column_stack([features, last])
     else:
-        clean, _, _ = synth_image_data(n_data, config.seed, shape, latent_dim)
-    corrupted = corrupt_pixels(clean, corruption, config.seed + 1)
+        clean, _, _ = synth_image_data(_N_IMAGES, config.seed)
+    corrupted = corrupt_pixels(clean, _CORRUPTION, config.seed + 1)
     half = clean.shape[0] // 2
     train_c, test_c = corrupted[:half], corrupted[half:]
     test_clean = clean[half:]
 
-    report, fitted = fit_cauchy_ppca(train_c, latent_dim, config, config.seed)
-
-    gauss = ml_ppca_fit(train_c, latent_dim)
+    report, gauss = fit_cauchy_ppca(train_c, _LATENT_DIM, config, config.seed)
+    fitted = report.model
 
     # Test-time latents are fitted against the corrupted test images with
     # the trained model parameters held fixed.
@@ -467,7 +484,7 @@ def _run_cauchy_ppca(config, shape=(24, 21), latent_dim=2, n_data=200,
     )[0].T.ravel()
     test_report = _fit_latents(test_c, fitted.params, config, config.seed + 2,
                                test_init, optimise_model_params=False)
-    rec_cauchy = fitted.reconstruct(test_report.posterior.mu.reshape(-1, latent_dim))
+    rec_cauchy = fitted.reconstruct(test_report.posterior.mu.reshape(-1, _LATENT_DIM))
     rec_gauss = gauss.reconstruct(test_c)
 
     err_cauchy = [
@@ -505,15 +522,14 @@ _PIPELINES = {
 EXPERIMENT_KINDS = tuple(_PIPELINES)
 
 
-def _mean_draw_mse(post, model, inputs, targets, n_draws, rng):
-    draws = post.sample(n_draws, rng)
+def _mean_draw_mse(post, model, inputs, targets, rng):
+    draws = post.sample(_SCORE_DRAWS, rng)
     preds = model.predict_batch(draws, inputs)
     return float(np.mean((preds - np.asarray(targets)[None, :]) ** 2))
 
 
 def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
-                           noise_sd=0.05, n_samples=50, max_iter=150,
-                           n_draws=200):
+                           noise_sd=0.05, max_iter=150):
     """Across-split test-MSE spread of the fitted bound versus Laplace.
 
     Each split draws a fresh amplitude-spectrum dataset, fits both schemes
@@ -538,7 +554,7 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
         )
         report = fit(
             model,
-            FitConfig(n_samples=n_samples, max_iter=max_iter,
+            FitConfig(n_samples=_SPECTRUM_SAMPLES, max_iter=max_iter,
                       fix_beta=True, init_beta=beta),
             seed=seed + i,
         )
@@ -546,10 +562,8 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
             model, Hyperparameters(None, beta), seed=seed + i
         )
         rng = np.random.default_rng(seed + i)
-        mse_fit.append(
-            _mean_draw_mse(report.posterior, model, xte, yte, n_draws, rng)
-        )
-        mse_lap.append(_mean_draw_mse(lap, model, xte, yte, n_draws, rng))
+        mse_fit.append(_mean_draw_mse(report.posterior, model, xte, yte, rng))
+        mse_lap.append(_mean_draw_mse(lap, model, xte, yte, rng))
     return {
         "mse_fit": np.asarray(mse_fit),
         "mse_laplace": np.asarray(mse_lap),

@@ -170,14 +170,14 @@ def _read_utf8(path):
         ) from exc
 
 
-def load_csv_dataset(path, schema, n_classes=None, header=False):
+def load_csv_dataset(path, schema, n_classes=None):
     """Load a rectangular numeric CSV as (inputs, targets).
 
     schema "regression": last column is the real-valued target.
     schema "binary": last column must be 0 or 1.
     schema "one-hot": last n_classes columns must be a valid 1-of-K row.
     The file must be UTF-8 text and every cell a finite number. Error
-    messages carry 1-based line numbers (header included in the count).
+    messages carry 1-based line numbers.
     """
     if schema not in ("regression", "binary", "one-hot"):
         raise DataFormatError(f"unknown schema {schema!r}")
@@ -189,8 +189,6 @@ def load_csv_dataset(path, schema, n_classes=None, header=False):
         reader = csv.reader(handle)
         width = None
         for line_no, row in enumerate(reader, start=1):
-            if header and line_no == 1:
-                continue
             if not row:
                 continue
             if width is None:

@@ -55,11 +55,7 @@ class TargetModel(abc.ABC):
     def grad_log_lik_batch(self, w_batch, *args):
         return self.log_lik_and_grad_batch(w_batch, *args)[1]
 
-    def log_lik_and_grad(self, w, *args):
-        """(value, gradient) at a single parameter vector: a batch of one."""
-        values, grads = self.log_lik_and_grad_batch(_one_row(w), *args)
-        return float(values[0]), grads[0]
-
+    # Per-point forms, each a batch of one; perfbench/kernels.py times them.
     def log_lik(self, w, *args):
         return float(self.log_lik_batch(_one_row(w), *args)[0])
 
@@ -91,9 +87,6 @@ class TargetModel(abc.ABC):
         """Per-datum predictions at each row of w_batch (model specific)."""
         raise NotImplementedError(f"{type(self).__name__} does not predict")
 
-    def predict(self, w, inputs):
-        return self.predict_batch(_one_row(w), inputs)[0]
-
 
 class GaussianNoiseModel(TargetModel):
     """Models with observation noise y ~ N(f(x; w), 1/beta).
@@ -120,11 +113,13 @@ class GaussianNoiseModel(TargetModel):
         """f(X; w_s) on the training inputs for each row, shape (S, n_obs)."""
 
     @abc.abstractmethod
-    def vjp_batch(self, w_batch, r):
+    def vjp_batch(self, w_batch, r, outputs):
         """J(w_s)^T r_s for each row s, shape (S, dim), with J = d f(X; w) / d w.
 
-        Each row must depend on its own draw and residual only, so a row's
-        result does not change with the batch size.
+        `outputs` is `predict_outputs_batch(w_batch)`, which the fused pass
+        has already computed. Each row must depend on its own draw and
+        residual only, so a row's result does not change with the batch
+        size.
         """
 
     def residual_sq_batch(self, w_batch):
@@ -141,9 +136,10 @@ class GaussianNoiseModel(TargetModel):
 
     def log_lik_and_grad_batch(self, w_batch, beta):
         w = np.asarray(w_batch, dtype=float)
-        r = self.targets - self.predict_outputs_batch(w)
+        outputs = self.predict_outputs_batch(w)
+        r = self.targets - outputs
         value = self._log_lik_of_sq(np.sum(r * r, axis=1), beta)
-        return value, beta * self.vjp_batch(w, r)
+        return value, beta * self.vjp_batch(w, r, outputs)
 
 
 def _noise_args(model, hyper):

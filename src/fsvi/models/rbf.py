@@ -110,7 +110,7 @@ class RbfRegressionModel(GaussianNoiseModel):
     def predict_outputs_batch(self, w_batch):
         return np.asarray(w_batch, dtype=float) @ self._phi.T
 
-    def vjp_batch(self, w_batch, r):
+    def vjp_batch(self, w_batch, r, outputs):
         return r @ self._phi
 
     def predict_batch(self, w_batch, inputs):

@@ -6,7 +6,6 @@ entropy: direct density fitting.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import log_ndtr
 
 from ..exceptions import DimensionError
@@ -111,11 +110,11 @@ class GaussianTarget(TargetModel):
             raise DimensionError(
                 f"covariance shape {self.cov.shape} does not match mean size {m}"
             )
-        try:
-            self._cho = cho_factor(self.cov, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise DimensionError("covariance must be positive definite") from exc
-        self._logdet = 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
+        eigvals, self._eigvecs = np.linalg.eigh(self.cov)
+        if not eigvals.min() > 0.0:
+            raise DimensionError("covariance must be positive definite")
+        self._eigvals = eigvals
+        self._logdet = float(np.sum(np.log(eigvals)))
 
     @property
     def dim(self):
@@ -123,6 +122,7 @@ class GaussianTarget(TargetModel):
 
     def log_lik_and_grad_batch(self, w_batch):
         d = np.asarray(w_batch, dtype=float) - self.mean
-        solved = cho_solve(self._cho, d.T).T
-        maha = np.sum(d * solved, axis=1)
-        return -0.5 * (self.dim * _LN_2PI + self._logdet + maha), -solved
+        proj = d @ self._eigvecs
+        maha = np.sum(proj * proj / self._eigvals, axis=1)
+        value = -0.5 * (self.dim * _LN_2PI + self._logdet + maha)
+        return value, -(proj / self._eigvals) @ self._eigvecs.T

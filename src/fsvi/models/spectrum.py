@@ -67,21 +67,25 @@ class SpectrumDecayModel(GaussianNoiseModel):
     def targets(self):
         return self._y
 
+    def _rolloff_batch(self, w, f):
+        """Rolloff terms u = (f / exp(c))^2, shape (S, n)."""
+        c = w[:, self._n_sources + 2, None]
+        return (f * np.exp(np.minimum(-c, _EXP_CAP))) ** 2
+
     def _amplitude_batch(self, w_batch, e, log_r, f):
-        """Amplitudes g and rolloff terms u = (f / exp(c))^2, both (S, n)."""
+        """Amplitudes g at each row of w_batch, shape (S, n)."""
         w = np.asarray(w_batch, dtype=float)
-        eta, kappa, c = (w[:, self._n_sources + i, None] for i in range(3))
-        u = (f * np.exp(np.minimum(-c, _EXP_CAP))) ** 2
+        eta, kappa = (w[:, self._n_sources + i, None] for i in range(2))
         log_g = w[:, e] - eta * log_r - kappa * f
-        return np.exp(np.minimum(log_g, _EXP_CAP)) / (1.0 + u), u
+        return np.exp(np.minimum(log_g, _EXP_CAP)) / (1.0 + self._rolloff_batch(w, f))
 
     def predict_outputs_batch(self, w_batch):
-        return self._amplitude_batch(w_batch, self._e, self._log_r, self._f)[0]
+        return self._amplitude_batch(w_batch, self._e, self._log_r, self._f)
 
-    def vjp_batch(self, w_batch, r):
+    def vjp_batch(self, w_batch, r, outputs):
         # Per-row reductions, so a row's result does not depend on the batch.
-        g, u = self._amplitude_batch(w_batch, self._e, self._log_r, self._f)
-        gr = g * r
+        u = self._rolloff_batch(np.asarray(w_batch, dtype=float), self._f)
+        gr = outputs * r
         return np.column_stack(
             [
                 np.einsum("sn,nk->sk", gr, self._source_onehot),
@@ -94,7 +98,7 @@ class SpectrumDecayModel(GaussianNoiseModel):
     def predict_batch(self, w_batch, inputs):
         """Amplitudes at (source_idx, distance, frequency) rows of `inputs`."""
         e, r, f = self._unpack_inputs(inputs)
-        return self._amplitude_batch(w_batch, e, np.log(r), f)[0]
+        return self._amplitude_batch(w_batch, e, np.log(r), f)
 
     def _unpack_inputs(self, inputs):
         arr = np.asarray(inputs, dtype=float)
@@ -129,6 +133,6 @@ def synth_spectrum_data(n, seed, n_sources=8, noise_sd=0.05):
     f = np.exp(rng.uniform(np.log(0.5), np.log(20.0), size=n))
     inputs = np.column_stack([e.astype(float), r, f])
     model = SpectrumDecayModel(e, r, f, np.zeros(n), n_sources=n_sources)
-    clean = model.predict(true_w, inputs)
+    clean = model.predict_batch(true_w[None], inputs)[0]
     targets = clean + noise_sd * rng.standard_normal(n)
     return inputs, targets, true_w

@@ -78,7 +78,7 @@ class LineModel(GaussianNoiseModel):
     def predict_outputs_batch(self, w_batch):
         return np.asarray(w_batch, dtype=float)
 
-    def vjp_batch(self, w_batch, r):
+    def vjp_batch(self, w_batch, r, outputs):
         return r
 
 

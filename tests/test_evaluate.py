@@ -47,9 +47,15 @@ def closed_form_gaussian_kld(mean_p, cov_p, mean_q, cov_q):
 # ------------------------------------------------------------------ divergence
 
 
+def _kld(log_p, log_q, direction="p-to-q", grid=None):
+    """The divergence between two log-density callables, on `grid`."""
+    grid = grid or Grid2D.build()
+    return kld_numerical_2d(log_p(grid.points), log_q(grid.points), grid, direction)
+
+
 def test_kld_zero_for_identical_densities():
     log_p = gaussian_logdensity_fn(np.zeros(2), np.eye(2))
-    assert abs(kld_numerical_2d(log_p, log_p)) < 1e-8
+    assert abs(_kld(log_p, log_p)) < 1e-8
 
 
 def test_kld_matches_gaussian_closed_form():
@@ -61,10 +67,10 @@ def test_kld_matches_gaussian_closed_form():
     log_q = gaussian_logdensity_fn(mean_q, cov_q)
 
     expected = closed_form_gaussian_kld(mean_p, cov_p, mean_q, cov_q)
-    value = kld_numerical_2d(log_p, log_q)
+    value = _kld(log_p, log_q)
     assert abs(value - expected) < 1e-6, f"grid {value} vs closed form {expected}"
 
-    swapped = kld_numerical_2d(log_p, log_q, direction="q-to-p")
+    swapped = _kld(log_p, log_q, "q-to-p")
     expected_swapped = closed_form_gaussian_kld(mean_q, cov_q, mean_p, cov_p)
     assert abs(swapped - expected_swapped) < 1e-6
 
@@ -72,8 +78,8 @@ def test_kld_matches_gaussian_closed_form():
 def test_kld_direction_is_asymmetric():
     log_p = gaussian_logdensity_fn(np.zeros(2), np.eye(2))
     log_q = gaussian_logdensity_fn(np.array([1.0, 0.0]), np.diag([1.5, 0.5]))
-    forward = kld_numerical_2d(log_p, log_q)
-    backward = kld_numerical_2d(log_p, log_q, direction="q-to-p")
+    forward = _kld(log_p, log_q)
+    backward = _kld(log_p, log_q, "q-to-p")
     assert abs(forward - backward) > 0.1
 
 
@@ -84,8 +90,8 @@ def test_kld_stable_under_grid_refinement():
         return np.array([skew_logdensity(row, coeff)[0] for row in points])
 
     log_q = gaussian_logdensity_fn(np.array([0.2, 0.1]), 1.2 * np.eye(2))
-    coarse = kld_numerical_2d(log_p, log_q, grid=Grid2D.build(resolution=128))
-    fine = kld_numerical_2d(log_p, log_q, grid=Grid2D.build(resolution=256))
+    coarse = _kld(log_p, log_q, grid=Grid2D.build(resolution=128))
+    fine = _kld(log_p, log_q, grid=Grid2D.build(resolution=256))
     assert abs(coarse - fine) / abs(fine) < 0.01, f"{coarse} vs {fine}"
 
 
@@ -102,14 +108,14 @@ def test_kld_nonnegative_on_random_gaussian_pairs():
         mean_q = rng.uniform(-1.0, 1.0, 2)
         log_p = gaussian_logdensity_fn(mean_p, bounded_cov())
         log_q = gaussian_logdensity_fn(mean_q, bounded_cov())
-        assert kld_numerical_2d(log_p, log_q) >= -1e-9
+        assert _kld(log_p, log_q) >= -1e-9
 
 
 def test_kld_reports_poor_coverage():
     log_p = gaussian_logdensity_fn(np.zeros(2), np.eye(2))
     log_q = gaussian_logdensity_fn(np.array([40.0, 0.0]), np.eye(2))
     with pytest.raises(CoverageError) as excinfo:
-        kld_numerical_2d(log_p, log_q)
+        _kld(log_p, log_q)
     masses = excinfo.value.masses
     assert masses is not None and masses[0] > 0.999 and masses[1] < 0.5
 
@@ -117,20 +123,18 @@ def test_kld_reports_poor_coverage():
 def test_kld_rejects_unknown_direction():
     log_p = gaussian_logdensity_fn(np.zeros(2), np.eye(2))
     with pytest.raises(ConfigError):
-        kld_numerical_2d(log_p, log_p, direction="sideways")
+        _kld(log_p, log_p, "sideways")
 
 
 def test_kld_takes_densities_as_grid_values():
     grid = Grid2D.build(resolution=(96, 80))
     pts = grid.points
-    log_p = SkewTarget([-3.0, 1.0, -1.0, -1.0, -1.0, -1.0]).log_lik_batch
-    log_q = gaussian_logdensity_fn(np.array([-0.5, 0.2]), np.array([[1.2, 0.3], [0.3, 0.9]]))
-    for direction in ("p-to-q", "q-to-p"):
-        from_callables = kld_numerical_2d(log_p, log_q, grid, direction)
-        assert kld_numerical_2d(log_p(pts), log_q(pts), grid, direction) == from_callables
-        assert kld_numerical_2d(log_p(pts), log_q, grid, direction) == from_callables
+    lp = SkewTarget([-3.0, 1.0, -1.0, -1.0, -1.0, -1.0]).log_lik_batch(pts)
+    lq = gaussian_logdensity_fn(np.array([-0.5, 0.2]), np.array([[1.2, 0.3], [0.3, 0.9]]))(pts)
+    # "q-to-p" only swaps the roles of the two value arrays.
+    assert kld_numerical_2d(lp, lq, grid, "q-to-p") == kld_numerical_2d(lq, lp, grid, "p-to-q")
     with pytest.raises(DimensionError):
-        kld_numerical_2d(log_p(pts)[:-1], log_q, grid)
+        kld_numerical_2d(lp[:-1], lq, grid, "p-to-q")
 
 
 def test_grid_validation_and_weights():
@@ -162,21 +166,12 @@ def test_predictive_mean_approaches_mean_prediction():
     mean, var = predictive_mc(post, model, grid, n_draws=100_000, seed=0)
     # For a linear model the predictive mean is the prediction at mu; with
     # 1e5 draws the Monte-Carlo error is within three standard errors.
-    centre = model.predict(post.mu, grid)
+    centre = model.predict_batch(post.mu[None, :], grid)[0]
     se = np.sqrt(var / 100_000)
     assert np.all(np.abs(mean - centre) < 3.0 * se + 1e-12), (
         f"max gap {np.max(np.abs(mean - centre))}"
     )
     assert np.all(var >= 0.0)
-
-
-def test_predictive_plugin_is_prediction_at_the_mean():
-    x, y, model = _small_blr(seed=1)
-    post = VariationalPosterior(np.zeros(model.dim), np.zeros((model.dim, model.dim)))
-    grid = np.linspace(-4.0, 4.0, 7)
-    mean, var = predictive_mc(post, model, grid, plugin=True)
-    assert np.array_equal(mean, model.predict(post.mu, grid))
-    assert np.array_equal(var, np.zeros(7))
 
 
 def test_predictive_classification_layout():
@@ -189,8 +184,6 @@ def test_predictive_classification_layout():
     probs = predictive_mc(post, model, x, n_draws=64, seed=1)
     assert probs.shape == (30, 2)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
-    plugin = predictive_mc(post, model, x, plugin=True)
-    assert plugin.shape == (30, 2)
 
 
 def test_predictive_rejects_singular_factor_without_plugin():

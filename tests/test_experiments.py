@@ -19,6 +19,7 @@ from fsvi import (
     load_posterior,
     mc_accuracy,
     run_experiment,
+    spectrum_mse_benchmark,
     synth_image_data,
 )
 from fsvi.exceptions import ConfigError
@@ -112,9 +113,9 @@ def test_mc_accuracy_on_a_confident_posterior():
         centre_labels.append(labels[nearest])
     mu = np.array([8.0 if lab == 1 else -8.0 for lab in centre_labels] + [0.0])
     post = VariationalPosterior(mu, 0.01 * np.eye(model.dim))
-    score = mc_accuracy(post, model, x, labels, n_draws=50, seed=0)
+    score = mc_accuracy(post, model, x, labels, seed=0)
     assert score >= 0.95, f"confident posterior only scored {score}"
-    again = mc_accuracy(post, model, x, labels, n_draws=50, seed=0)
+    again = mc_accuracy(post, model, x, labels, seed=0)
     assert score == again, "accuracy must be deterministic in the seed"
 
 
@@ -123,11 +124,12 @@ def test_mc_accuracy_matches_manual_per_draw_average():
     design = RbfDesign.from_inputs(x, 2.0, n_centres=2)
     model = LogisticModel(x, labels, design)
     post = VariationalPosterior(np.zeros(model.dim), 2.0 * np.eye(model.dim))
-    score = mc_accuracy(post, model, x, labels, n_draws=16, seed=3)
+    score = mc_accuracy(post, model, x, labels, seed=3)
 
-    draws = post.sample(16, np.random.default_rng(3))
+    draws = post.sample(200, np.random.default_rng(3))
     per_draw = [
-        np.mean(np.argmax(model.predict(w, x), axis=1) == labels) for w in draws
+        np.mean(np.argmax(model.predict_batch(w[None, :], x)[0], axis=1) == labels)
+        for w in draws
     ]
     expected = float(np.mean(per_draw))
     assert abs(score - expected) < 1e-12, f"{score} vs per-draw average {expected}"
@@ -141,8 +143,8 @@ def test_mc_accuracy_accepts_one_hot_labels():
     post = VariationalPosterior(np.zeros(model.dim), 0.5 * np.eye(model.dim))
     from fsvi.models import one_hot
 
-    a = mc_accuracy(post, model, x, labels, n_draws=8, seed=0)
-    b = mc_accuracy(post, model, x, one_hot(labels, 2), n_draws=8, seed=0)
+    a = mc_accuracy(post, model, x, labels, seed=0)
+    b = mc_accuracy(post, model, x, one_hot(labels, 2), seed=0)
     assert a == b
 
 
@@ -214,41 +216,65 @@ def test_pipeline_writes_its_documented_files_reproducibly(tmp_path, kind):
 
 # Short pipeline fits pinned with float.hex from a run of the code before
 # the SCG block objectives were built once per block (a separate process):
-# the final trace row (iteration, bound, holdout bound) and the first
-# posterior-mean entries. `blr` has a Gaussian prior and beta, bivariate
-# target 0 a flat prior, cauchy-ppca a block factor and model parameters.
-# Bivariate target 0's KL rows are pinned as well: each grid integral is a
-# fixed-order sum, so they do not depend on the BLAS thread count.
+# the final trace row (iteration, bound, holdout bound) of each trace file
+# and the first posterior-mean entries. `blr` has a Gaussian prior and
+# beta, bivariate target 0 a flat prior, cauchy-ppca a block factor and
+# model parameters. The `logistic`, `multiclass` and `blr-overfit` pins
+# come from the code before the unused call forms were deleted, and hold
+# with one and with two BLAS threads. Bivariate target 0's KL rows are
+# pinned as well: each grid integral is a fixed-order sum, so they do not
+# depend on the BLAS thread count.
 _GOLDEN = {
     "blr": (
-        5, "trace_blr.csv", "posterior_blr.txt",
-        ["5", "-0x1.0d27c41dccfcfp+5", "-0x1.2d87a75f539bfp+5"],
+        5, {"trace_blr.csv": ["5", "-0x1.0d27c41dccfcfp+5", "-0x1.2d87a75f539bfp+5"]},
+        "posterior_blr.txt",
         ["-0x1.248b8629479e2p+1", "0x1.b20d5e256cdf7p-1", "0x1.2542c8b25af75p+1"],
     ),
     "bivariate": (
-        5, "trace_bivariate_0.csv", "posterior_bivariate_0.txt",
-        ["5", "-0x1.294b437e0fde0p-3", "-0x1.99b83575045c6p+0"],
+        5, {"trace_bivariate_0.csv":
+            ["5", "-0x1.294b437e0fde0p-3", "-0x1.99b83575045c6p+0"]},
+        "posterior_bivariate_0.txt",
         ["-0x1.90d3871dcad4dp-1", "-0x1.136cf77c3a24fp-4"],
     ),
     "cauchy-ppca": (
-        2, "trace_train.csv", "posterior_train_latents.txt",
-        ["2", "-0x1.b918c07615cd5p+17", "-0x1.ba85ee459f812p+17"],
+        2, {"trace_train.csv": ["2", "-0x1.b918c07615cd5p+17", "-0x1.ba85ee459f812p+17"]},
+        "posterior_train_latents.txt",
         ["0x1.d34483960221ep-6", "0x1.94b124ab6631ep-2", "0x1.7caef1c3966b4p-1"],
     ),
+    "logistic": (
+        2, {"trace_split0.csv": ["2", "-0x1.27c1843401778p+5", "-0x1.3bb281d4abbebp+5"]},
+        "posterior_split0.txt",
+        ["-0x1.51515506e209ep+1", "0x1.26b23c0d48a39p+0", "-0x1.38fb84cdf3ab7p-3"],
+    ),
+    "multiclass": (
+        2, {"trace_split0.csv": ["2", "-0x1.ad7e5efb361b9p+4", "-0x1.1b64052e529dap+5"]},
+        "posterior_split0.txt",
+        ["0x1.25854c3561ec9p+0", "-0x1.197cff8fde62ap-2", "0x1.c055c4524c974p-1"],
+    ),
+    # blr-overfit writes traces only, one per draw budget.
+    "blr-overfit": (
+        10, {"trace_s100.csv": ["10", "-0x1.ad7977d96526bp+4", "-0x1.ee0318a8776f2p+4"],
+             "trace_s10.csv": ["10", "0x1.09d310e6657c4p+2", "-0x1.27c917ad26d61p+14"]},
+        None, [],
+    ),
 }
+
+
 def _csv_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
 @pytest.mark.parametrize("kind", sorted(_GOLDEN))
 def test_short_fits_keep_their_bits(tmp_path, kind):
-    iters, trace_name, posterior_name, last_row, mu_head = _GOLDEN[kind]
+    iters, last_rows, posterior_name, mu_head = _GOLDEN[kind]
     run_experiment(ExperimentConfig(kind=kind, seed=0, out_dir=str(tmp_path),
                                     max_iter=iters))
-    last = _csv_rows(tmp_path / trace_name)[-1]
-    assert [last[0]] + [float(v).hex() for v in last[1:]] == last_row
-    post, _, _ = load_posterior(str(tmp_path / posterior_name))
-    assert [float(v).hex() for v in post.mu[: len(mu_head)]] == mu_head
+    for trace_name, last_row in last_rows.items():
+        last = _csv_rows(tmp_path / trace_name)[-1]
+        assert [last[0]] + [float(v).hex() for v in last[1:]] == last_row, trace_name
+    if posterior_name is not None:
+        post, _, _ = load_posterior(str(tmp_path / posterior_name))
+        assert [float(v).hex() for v in post.mu[: len(mu_head)]] == mu_head
     if kind == "bivariate":
         rows = _csv_rows(tmp_path / "kld_table.csv")
         assert [[m, d, float(v).hex()] for t, m, d, v in rows[1:] if t == "0"] == [
@@ -257,6 +283,14 @@ def test_short_fits_keep_their_bits(tmp_path, kind):
             ["laplace", "p-to-q", "0x1.e08faf4ec3792p-2"],
             ["laplace", "q-to-p", "0x1.8bf7fd7dfd5c2p+2"],
         ]
+
+
+def test_short_spectrum_benchmark_keeps_its_bits():
+    # Pinned like _GOLDEN, from the code before the Gaussian-noise pass
+    # handed its outputs to vjp_batch; the same with one and two BLAS threads.
+    result = spectrum_mse_benchmark(n_splits=1, seed=0, max_iter=20)
+    assert [float(v).hex() for v in result["mse_fit"]] == ["0x1.8cef1ff6240a7p-9"]
+    assert [float(v).hex() for v in result["mse_laplace"]] == ["0x1.9b8378d6d6dd0p-9"]
 
 
 def test_bivariate_files_do_not_depend_on_the_blas_thread_count(tmp_path):

