@@ -50,14 +50,10 @@ class Grid2D:
         xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
 
-    @property
-    def flat_weights(self):
-        return self.weights.ravel()
-
     def integrate(self, values):
         # A fixed-order (pairwise) sum, not a BLAS dot: its bits do not
         # depend on the BLAS thread count.
-        return float(np.sum(self.flat_weights * np.asarray(values, dtype=float).ravel()))
+        return float(np.sum(self.weights.ravel() * np.asarray(values, dtype=float).ravel()))
 
 
 def gaussian_logdensity_fn(mean, cov):

@@ -11,6 +11,7 @@ import os
 import pathlib
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -233,7 +234,7 @@ def _run_bivariate(config):
             "proposed": gaussian_logdensity_fn(
                 report.posterior.mu, report.posterior.covariance()
             )(pts),
-            "laplace": gaussian_logdensity_fn(lap.mean, lap.covariance)(pts),
+            "laplace": lap.logpdf(pts),
         }
         for method, log_q in fits.items():
             for direction in ("p-to-q", "q-to-p"):
@@ -256,18 +257,20 @@ def _blr_problem(config):
     else:
         x, y = synth_regression_data(_BLR_N_DATA, config.seed, noise_sd=_BLR_NOISE_SD)
     design = RbfDesign.from_inputs(x, _BLR_WIDTH, n_centres=_BLR_N_CENTRES)
-    return x, y, design, RbfRegressionModel(x, y, design)
+    return RbfRegressionModel(x, y, design)
 
 
 def _run_blr(config):
     """RBF regression: compare the fit to the conjugate exact posterior."""
-    x, y, design, model = _blr_problem(config)
+    model = _blr_problem(config)
     report = fit(model, _fit_config(config), seed=config.seed)
     post, hyper = report.posterior, report.hyper
 
-    exact = exact_blr_posterior(design.matrix(x), y, hyper.alpha, hyper.beta)
+    exact = exact_blr_posterior(
+        model.design_matrix, model.targets, hyper.alpha, hyper.beta
+    )
     grid = np.linspace(-6.0, 6.0, 200)
-    phi_grid = design.matrix(grid)
+    phi_grid = model.design.matrix(grid)
     mean_fit = phi_grid @ post.mu
     mean_exact = phi_grid @ exact.mean
     rmse = float(np.sqrt(np.mean((mean_fit - mean_exact) ** 2)))
@@ -296,7 +299,7 @@ def _run_blr(config):
 
 def _run_blr_overfit(config):
     """Monitor the bound on held-out draws for a well-sized and a small S."""
-    x, y, design, model = _blr_problem(config)
+    model = _blr_problem(config)
     metrics = {}
     for s in (config.n_samples, _OVERFIT_SMALL_SAMPLES):
         fc = _fit_config(config, n_samples=s, tol=0.0)
@@ -332,12 +335,11 @@ _SYNTH_BLOBS = {2: (1.75, 0.5), 3: (1.1, 0.25)}
 def _classification_splits(config, schema, n_classes):
     """Yield (x_train, y_train, x_test, y_test) tuples for the config source."""
     if config.data is None:
-        k = 2 if schema == "binary" else n_classes
-        separation, spread = _SYNTH_BLOBS[k]
+        separation, spread = _SYNTH_BLOBS[n_classes]
         x, labels = synth_classification_data(
-            k, 400, config.seed, separation=separation, spread=spread
+            n_classes, 400, config.seed, separation=separation, spread=spread
         )
-        y = labels if schema == "binary" else one_hot(labels, k)
+        y = labels if schema == "binary" else one_hot(labels, n_classes)
         half = x.shape[0] // 2
         return [(x[:half], y[:half], x[half:], y[half:])]
     source = pathlib.Path(config.data)
@@ -379,16 +381,6 @@ def _run_classification(config, schema, n_classes, make_model, synth_n_centres):
         "std_accuracy": float(np.std(accuracies)),
         "n_splits": float(len(accuracies)),
     }
-
-
-def _run_logistic(config):
-    return _run_classification(config, "binary", None, LogisticModel, synth_n_centres=25)
-
-
-def _run_multiclass(config):
-    return _run_classification(
-        config, "one-hot", _MULTICLASS_K, SoftmaxModel, synth_n_centres=20
-    )
 
 
 def synth_image_data(n, seed, shape=_IMAGE_SHAPE, latent_dim=_LATENT_DIM):
@@ -515,8 +507,12 @@ _PIPELINES = {
     "bivariate": _Pipeline(_run_bivariate, 50, 150),
     "blr": _Pipeline(_run_blr, 100, 150),
     "blr-overfit": _Pipeline(_run_blr_overfit, 100, 40),
-    "logistic": _Pipeline(_run_logistic, 200, 100),
-    "multiclass": _Pipeline(_run_multiclass, 200, 80),
+    "logistic": _Pipeline(
+        partial(_run_classification, schema="binary", n_classes=2,
+                make_model=LogisticModel, synth_n_centres=25), 200, 100),
+    "multiclass": _Pipeline(
+        partial(_run_classification, schema="one-hot", n_classes=_MULTICLASS_K,
+                make_model=SoftmaxModel, synth_n_centres=20), 200, 80),
     "cauchy-ppca": _Pipeline(_run_cauchy_ppca, 20, 40),
 }
 EXPERIMENT_KINDS = tuple(_PIPELINES)

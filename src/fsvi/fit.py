@@ -9,7 +9,7 @@ generalisation of the bound can be monitored afterwards.
 """
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class FitConfig:
 class FitReport:
     """Outcome of a fit: posterior, hyperparameters, and the bound trace.
 
-    `trace` rows are (iteration, training bound, holdout bound).
+    `trace` rows are (iteration, training bound, holdout bound), one per
+    outer iteration, so `iterations` is the trace length.
     `bound_decreased` flags any outer iteration whose training bound fell
     below the previous one. `model` is the fitted model instance, which
     differs from the input only when model parameters were optimised.
@@ -91,26 +92,18 @@ class FitReport:
     hyper: Hyperparameters
     trace: list = field(repr=False)
     converged: bool
-    iterations: int
     bound_decreased: bool
     model: object = field(repr=False, default=None)
     samples: SampleSet = field(repr=False, default=None)
+
+    @property
+    def iterations(self):
+        return len(self.trace)
 
 
 def _optimise(objective, x0, iters):
     """Run one SCG block of `iters` iterations from x0; returns its end point."""
     return scg_maximise(objective, x0, max_iters=iters, grad_tol=_INNER_GRAD_TOL).x
-
-
-def _optimise_mu(model, post, hyper, samples, iters):
-    objective = mu_objective(model, post, hyper, samples)
-    return VariationalPosterior(_optimise(objective, post.mu, iters), post.L)
-
-
-def _optimise_factor(model, post, hyper, samples, iters):
-    objective = factor_objective(model, post, hyper, samples)
-    x = _optimise(objective, post.L.ravel(), iters)
-    return VariationalPosterior(post.mu, x.reshape(post.L.shape))
 
 
 def _optimise_model_params(model, post, samples, iters):
@@ -161,18 +154,20 @@ def fit(model, config=None, seed=0):
     trace = []
     converged = False
     bound_decreased = False
-    iteration = 0
+    iters = config.inner_iters
     for iteration in range(1, config.max_iter + 1):
-        post = _optimise_mu(model, post, hyper, samples, config.inner_iters)
-        post = _optimise_factor(model, post, hyper, samples, config.inner_iters)
+        mu = _optimise(mu_objective(model, post, hyper, samples), post.mu, iters)
+        post = VariationalPosterior(mu, post.L)
+        flat_l = _optimise(
+            factor_objective(model, post, hyper, samples), post.L.ravel(), iters
+        )
+        post = VariationalPosterior(post.mu, flat_l.reshape(post.L.shape))
         if hyper.alpha is not None and not config.fix_alpha:
-            hyper = Hyperparameters(alpha=update_alpha(post), beta=hyper.beta)
+            hyper = replace(hyper, alpha=update_alpha(post))
         if hyper.beta is not None and not config.fix_beta:
-            hyper = Hyperparameters(
-                alpha=hyper.alpha, beta=update_beta(model, post, samples)
-            )
+            hyper = replace(hyper, beta=update_beta(model, post, samples))
         if has_model_params:
-            model = _optimise_model_params(model, post, samples, config.inner_iters)
+            model = _optimise_model_params(model, post, samples, iters)
 
         bound_new = lower_bound_fs(model, post, hyper, samples)
         bound_hold = lower_bound_fs(model, post, hyper, holdout)
@@ -193,7 +188,6 @@ def fit(model, config=None, seed=0):
         hyper=hyper,
         trace=trace,
         converged=converged,
-        iterations=iteration,
         bound_decreased=bound_decreased,
         model=model,
         samples=samples,

@@ -111,10 +111,6 @@ class SoftmaxModel(TargetModel):
         self._k = self._y.shape[1]
 
     @property
-    def n_classes(self):
-        return self._k
-
-    @property
     def dim(self):
         return self._k * self._phi.shape[1]
 

@@ -120,9 +120,16 @@ class GaussianTarget(TargetModel):
     def dim(self):
         return self.mean.size
 
-    def log_lik_and_grad_batch(self, w_batch):
+    def _project(self, w_batch):
+        """(eigenbasis coordinates of w - mean, log-density) at each row."""
         d = np.asarray(w_batch, dtype=float) - self.mean
         proj = d @ self._eigvecs
         maha = np.sum(proj * proj / self._eigvals, axis=1)
-        value = -0.5 * (self.dim * _LN_2PI + self._logdet + maha)
+        return proj, -0.5 * (self.dim * _LN_2PI + self._logdet + maha)
+
+    def log_lik_batch(self, w_batch):
+        return self._project(w_batch)[1]
+
+    def log_lik_and_grad_batch(self, w_batch):
+        proj, value = self._project(w_batch)
         return value, -(proj / self._eigvals) @ self._eigvecs.T

@@ -52,10 +52,6 @@ class SpectrumDecayModel(GaussianNoiseModel):
         self._source_onehot = (self._e[:, None] == np.arange(n_sources)).astype(float)
 
     @property
-    def n_sources(self):
-        return self._n_sources
-
-    @property
     def dim(self):
         return self._n_sources + 3
 

@@ -25,6 +25,7 @@ from fsvi import (
 from fsvi.exceptions import ConfigError
 from fsvi.experiments import EXPERIMENT_KINDS
 from fsvi.models import (
+    GaussianTarget,
     LogisticModel,
     RbfDesign,
     SkewTarget,
@@ -311,7 +312,7 @@ def test_bivariate_files_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_bivariate_scores_each_target_density_on_the_grid_once(tmp_path, monkeypatch):
-    n_nodes = Grid2D.build().flat_weights.size
+    n_nodes = Grid2D.build().weights.size
     grid_calls = []
     log_lik_batch = SkewTarget.log_lik_batch
 
@@ -325,3 +326,13 @@ def test_bivariate_scores_each_target_density_on_the_grid_once(tmp_path, monkeyp
                                     n_samples=10, max_iter=2))
     # One pass per target, not one per divergence.
     assert len(grid_calls) == len(set(grid_calls)) == 3
+
+
+def test_bivariate_grid_densities_form_no_gradient(tmp_path, monkeypatch):
+    # The fitted and Laplace densities enter the divergences as values only.
+    def no_gradient(self, w_batch):
+        raise AssertionError("a grid density formed a gradient")
+
+    monkeypatch.setattr(GaussianTarget, "log_lik_and_grad_batch", no_gradient)
+    run_experiment(ExperimentConfig(kind="bivariate", seed=0, out_dir=str(tmp_path),
+                                    n_samples=10, max_iter=2))

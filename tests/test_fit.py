@@ -16,12 +16,13 @@ from fsvi import (
     monitor_generalisation,
     synth_image_data,
 )
+from fsvi.bound import mu_objective
 from fsvi.exceptions import (
     ConfigError,
     InsufficientDataError,
     NumericalFailureError,
 )
-from fsvi.fit import _optimise_mu
+from fsvi.fit import _optimise
 from fsvi.models import (
     GaussianTarget,
     RbfDesign,
@@ -166,8 +167,9 @@ def test_mean_block_factors_its_fixed_factor_once(monkeypatch):
         return slogdet(a)
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
-    moved = _optimise_mu(model, post, Hyperparameters(0.1, 0.1), samples, 10)
-    assert not np.array_equal(moved.mu, post.mu)
+    objective = mu_objective(model, post, Hyperparameters(0.1, 0.1), samples)
+    moved = _optimise(objective, post.mu, 10)
+    assert not np.array_equal(moved, post.mu)
     assert len(calls) <= 1
 
 
