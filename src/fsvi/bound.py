@@ -82,25 +82,53 @@ def lower_bound_fs(model, post, hyper, samples):
     return mean_ll + prior(post.second_moment(), logdet)
 
 
+def _model_pass(model, w, noise, with_value):
+    """(values, grads) of the fused pass, or (None, grads) of the gradient-only one."""
+    if with_value:
+        return model.log_lik_and_grad_batch(w, *noise)
+    return None, model.grad_log_lik_batch(w, *noise)
+
+
+def _finish(values, prior_value, g):
+    """(mean of values + prior term, gradient), or the gradient alone if values is None.
+
+    The gradient alone is NaN throughout where the prior term is not
+    finite. The gradient-only pass has already given a NaN row to each draw
+    whose value is not finite, so the gradient is non-finite wherever the
+    value would be, save one case it cannot see: finite values whose mean
+    overflows.
+    """
+    if values is not None:
+        return float(np.mean(values)) + prior_value, g
+    return g if np.isfinite(prior_value) else np.full_like(g, np.nan)
+
+
 def mu_objective(model, post, hyper, samples):
     """The bound and its gradient as a function of the mean, L held at post.L.
 
     Everything that depends only on L and the draws (L z, ln|det L|,
     tr(L L^T)) is computed here, once; each evaluation is one model pass.
+    The objective's `grad` attribute is its gradient-only form, for SCG's
+    curvature probes: the same gradient bits, non-finite wherever the
+    value is, from a model pass that need not form the values.
     Raises InvalidPosteriorError if post.L is singular.
     """
     noise, prior, alpha, logdet = _setup(model, post, hyper, samples)
     lz = post.apply_factor(samples.draws)
     tr_llt = float(np.sum(post.L * post.L))
 
-    def objective(mu):
-        values, grads = model.log_lik_and_grad_batch(mu + lz, *noise)
+    def evaluate(mu, with_value):
+        values, grads = _model_pass(model, mu + lz, noise, with_value)
         g = np.mean(grads, axis=0)
         if alpha is not None:
             g = g - alpha * mu
         sq = float(mu @ mu) + tr_llt
-        return float(np.mean(values)) + prior(sq, logdet), g
+        return _finish(values, prior(sq, logdet), g)
 
+    def objective(mu):
+        return evaluate(mu, True)
+
+    objective.grad = lambda mu: evaluate(mu, False)
     return objective
 
 
@@ -113,7 +141,9 @@ def factor_objective(model, post, hyper, samples):
     a Gaussian prior). A candidate whose determinant changes sign from
     post.L's, or that `posterior._is_singular` rejects, has crossed the
     singular barrier: it evaluates to (-inf, zero gradient), which SCG
-    rejects. Raises InvalidPosteriorError if post.L itself is singular.
+    rejects, and its gradient-only form (the `grad` attribute, as in
+    `mu_objective`) to NaN. Raises InvalidPosteriorError if post.L itself
+    is singular.
     """
     noise, prior, alpha, _ = _setup(model, post, hyper, samples)
     sign0 = post.factor_slogdet[0]
@@ -125,22 +155,27 @@ def factor_objective(model, post, hyper, samples):
     mu = post.mu
     mu_sq = float(mu @ mu)
 
-    def objective(x):
+    def evaluate(x, with_value):
         blocks = x.reshape(shape)
         sign, logdet = _slogdet_blocks(blocks)
         if sign != sign0 or _is_singular(sign, logdet):
             # The candidate crossed the singular barrier; SCG rejects it.
-            return -np.inf, np.zeros_like(x)
+            if with_value:
+                return -np.inf, np.zeros_like(x)
+            return np.full_like(x, np.nan)
         w = mu + _factor_times(blocks, zk, z.shape)
-        values, grads = model.log_lik_and_grad_batch(w, *noise)
+        values, grads = _model_pass(model, w, noise, with_value)
         g = grads.reshape(s, k, b).transpose(1, 2, 0) @ zk / s
         if alpha is not None:
             g = g - alpha * blocks
         sq = mu_sq + float(np.sum(blocks * blocks))
-        value = float(np.mean(values)) + prior(sq, logdet)
         g = g + np.linalg.inv(blocks).swapaxes(-1, -2)
-        return value, g.reshape(x.shape)
+        return _finish(values, prior(sq, logdet), g.reshape(x.shape))
 
+    def objective(x):
+        return evaluate(x, True)
+
+    objective.grad = lambda x: evaluate(x, False)
     return objective
 
 

@@ -101,9 +101,16 @@ class FitReport:
         return len(self.trace)
 
 
-def _optimise(objective, x0, iters):
-    """Run one SCG block of `iters` iterations from x0; returns its end point."""
-    return scg_maximise(objective, x0, max_iters=iters, grad_tol=_INNER_GRAD_TOL).x
+def _optimise(objective, x0, iters, start=None):
+    """Run one SCG block of `iters` iterations from x0; returns its end point.
+
+    The curvature probes call the objective's gradient-only form,
+    `objective.grad`; `start` is `objective(x0)` when the caller holds it.
+    """
+    return scg_maximise(
+        objective, x0, max_iters=iters, grad_tol=_INNER_GRAD_TOL,
+        grad=objective.grad, start=start,
+    ).x
 
 
 def _optimise_model_params(model, post, samples, iters):
@@ -112,6 +119,7 @@ def _optimise_model_params(model, post, samples, iters):
     def objective(theta):
         return model.with_model_params(theta).model_params_value_and_grad(w)
 
+    objective.grad = lambda theta: model.with_model_params(theta).model_params_grad(w)
     return model.with_model_params(_optimise(objective, model.model_params, iters))
 
 
@@ -147,7 +155,11 @@ def fit(model, config=None, seed=0):
         model.model_params is not None and config.optimise_model_params
     )
 
-    bound_prev = lower_bound_fs(model, post, hyper, samples)
+    # The training bound is the mean block's objective at its start point,
+    # so the next mean block starts from that same evaluation.
+    objective = mu_objective(model, post, hyper, samples)
+    start = objective(post.mu)
+    bound_prev = start[0]
     if not np.isfinite(bound_prev):
         raise NumericalFailureError("bound non-finite at start", iteration=0)
 
@@ -156,7 +168,7 @@ def fit(model, config=None, seed=0):
     bound_decreased = False
     iters = config.inner_iters
     for iteration in range(1, config.max_iter + 1):
-        mu = _optimise(mu_objective(model, post, hyper, samples), post.mu, iters)
+        mu = _optimise(objective, post.mu, iters, start)
         post = VariationalPosterior(mu, post.L)
         flat_l = _optimise(
             factor_objective(model, post, hyper, samples), post.L.ravel(), iters
@@ -169,7 +181,9 @@ def fit(model, config=None, seed=0):
         if has_model_params:
             model = _optimise_model_params(model, post, samples, iters)
 
-        bound_new = lower_bound_fs(model, post, hyper, samples)
+        objective = mu_objective(model, post, hyper, samples)
+        start = objective(post.mu)
+        bound_new = start[0]
         bound_hold = lower_bound_fs(model, post, hyper, holdout)
         if not np.isfinite(bound_new) or not np.isfinite(bound_hold):
             raise NumericalFailureError(

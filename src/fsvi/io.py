@@ -69,9 +69,11 @@ def save_posterior(post, hyper, path, seed=None):
     lines.append(f"seed {'none' if seed is None else int(seed)}")
     lines.append(f"alpha {_fmt(hyper.alpha)}")
     lines.append(f"beta {_fmt(hyper.beta)}")
-    lines.append("mu " + " ".join(_FLOAT_FMT.format(v) for v in post.mu))
-    for row in post.dense_factor():
-        lines.append("L " + " ".join(_FLOAT_FMT.format(v) for v in row))
+    # Python floats from tolist(), one bound format call each.
+    fmt = _FLOAT_FMT.format
+    lines.append("mu " + " ".join(map(fmt, post.mu.tolist())))
+    for row in post.dense_factor().tolist():
+        lines.append("L " + " ".join(map(fmt, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -53,7 +53,14 @@ class TargetModel(abc.ABC):
         return self.log_lik_and_grad_batch(w_batch, *args)[0]
 
     def grad_log_lik_batch(self, w_batch, *args):
-        return self.log_lik_and_grad_batch(w_batch, *args)[1]
+        """The fused pass's gradient rows, a NaN row wherever its value is not finite.
+
+        SCG's curvature probes call this: they read the gradient alone, and
+        the NaN rows reject a probe exactly where a non-finite value would.
+        Override where the gradient alone is cheaper than the fused pass.
+        """
+        values, grads = self.log_lik_and_grad_batch(w_batch, *args)
+        return np.where(np.isfinite(values)[:, None], grads, np.nan)
 
     # Per-point forms, each a batch of one; perfbench/kernels.py times them.
     def log_lik(self, w, *args):
@@ -82,6 +89,11 @@ class TargetModel(abc.ABC):
     def model_params_value_and_grad(self, w_batch):
         """(mean log-likelihood over w_batch, its model_params gradient)."""
         raise NotImplementedError(f"{type(self).__name__} has no model parameters")
+
+    def model_params_grad(self, w_batch):
+        """The model_params gradient alone, NaN wherever the value is not finite."""
+        value, grad = self.model_params_value_and_grad(w_batch)
+        return grad if np.isfinite(value) else np.full_like(grad, np.nan)
 
     def predict_batch(self, w_batch, inputs):
         """Per-datum predictions at each row of w_batch (model specific)."""

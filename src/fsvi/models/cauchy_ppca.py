@@ -134,24 +134,41 @@ class CauchyPpcaModel(TargetModel):
 
     # The value overwrites denom with its logarithm and the gradients
     # overwrite u with t = u / denom, so a draw's value is taken last.
-    def _value(self, denom):
+    def _value(self, denom, with_value=True):
+        """A draw's log-likelihood; without the value, 0.0 where it is finite, else NaN.
+
+        Each entry of denom = 1 + u^2 is at least 1, so its log is finite
+        exactly where the entry is and the logs cannot overflow their sum:
+        the finiteness test needs no log, and max propagates a NaN.
+        """
         const = -self._y.size * (np.log(np.pi) + np.log(self.params.scale))
-        return const - np.sum(np.log(denom, out=denom))
+        if with_value:
+            return const - np.sum(np.log(denom, out=denom))
+        return 0.0 if np.isfinite(const) and np.isfinite(denom.max()) else np.nan
 
     def log_lik_batch(self, w_batch):
         stats = self._draw_stats(w_batch)
         return np.array([self._value(denom) for *_, denom in stats])
 
-    def log_lik_and_grad_batch(self, w_batch):
+    def _latent_pass(self, w_batch, with_value):
+        """(values, gradient rows), the values as `_value` gives them."""
         s = len(w_batch)
         values = np.empty(s)
         grads = np.empty((s, self.n_data, self.latent_dim))
         for i, (_, u, denom) in enumerate(self._draw_stats(w_batch)):
             t = np.divide(u, denom, out=u)
             np.matmul(t, self.params.loading, out=grads[i])
-            values[i] = self._value(denom)
+            values[i] = self._value(denom, with_value)
         grads *= 2.0 / self.params.scale
         return values, grads.reshape(s, -1)
+
+    def log_lik_and_grad_batch(self, w_batch):
+        return self._latent_pass(w_batch, True)
+
+    def grad_log_lik_batch(self, w_batch):
+        values, grads = self._latent_pass(w_batch, False)
+        grads[np.isnan(values)] = np.nan
+        return grads
 
     @property
     def model_params(self):
@@ -166,7 +183,7 @@ class CauchyPpcaModel(TargetModel):
         scale = float(np.exp(theta[-1]))
         return CauchyPpcaModel(self._y, CauchyPpcaParams(loading, offset, scale))
 
-    def model_params_value_and_grad(self, w_batch):
+    def _model_params_pass(self, w_batch, with_value):
         s = len(w_batch)
         gamma = self.params.scale
         values = np.empty(s)
@@ -182,11 +199,20 @@ class CauchyPpcaModel(TargetModel):
             t = np.divide(u, denom, out=u)
             grad_w += t.T @ x_s
             grad_xi += t.sum(axis=0)
-            values[i] = self._value(denom)
+            values[i] = self._value(denom, with_value)
+        value = float(np.mean(values))
         grad_w = (2.0 / gamma) * grad_w / s
         grad_xi = (2.0 / gamma) * grad_xi / s
         grad = np.concatenate([grad_w.ravel(), grad_xi, [grad_rho / s]])
-        return float(np.mean(values)), grad
+        if with_value:
+            return value, grad
+        return grad if np.isfinite(value) else np.full_like(grad, np.nan)
+
+    def model_params_value_and_grad(self, w_batch):
+        return self._model_params_pass(w_batch, True)
+
+    def model_params_grad(self, w_batch):
+        return self._model_params_pass(w_batch, False)
 
     def reconstruct(self, latents):
         """Map latent coordinates back to data space."""

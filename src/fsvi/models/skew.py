@@ -12,16 +12,23 @@ from ..exceptions import DimensionError
 from .base import TargetModel, _LN_2PI
 
 
-def _h(points, coeff):
-    """Odd cubic h(w) = a . (w1, w2, w1 w2^2, w1^2 w2, w1^3, w2^3)."""
-    w1 = points[..., 0]
-    w2 = points[..., 1]
+def _terms(points):
+    """(w1, w2, w1^2, w2^2): the two coordinates as contiguous arrays, and
+    their squares, which h and its gradient share."""
+    w1 = points[..., 0].copy()
+    w2 = points[..., 1].copy()
+    return w1, w2, w1**2, w2**2
+
+
+def _h(terms, coeff):
+    """Odd cubic h(w) = a . (w1, w2, w1 w2^2, w1^2 w2, w1^3, w2^3), given `_terms(w)`."""
+    w1, w2, w1_sq, w2_sq = terms
     a = coeff
     return (
         a[0] * w1
         + a[1] * w2
-        + a[2] * w1 * w2**2
-        + a[3] * w1**2 * w2
+        + a[2] * w1 * w2_sq
+        + a[3] * w1_sq * w2
         + a[4] * w1**3
         + a[5] * w2**3
     )
@@ -29,12 +36,12 @@ def _h(points, coeff):
 
 def _h_and_grad(points, coeff):
     """h(w) and its gradient."""
-    w1 = points[..., 0]
-    w2 = points[..., 1]
+    terms = _terms(points)
+    w1, w2, w1_sq, w2_sq = terms
     a = coeff
-    dh1 = a[0] + a[2] * w2**2 + 2.0 * a[3] * w1 * w2 + 3.0 * a[4] * w1**2
-    dh2 = a[1] + 2.0 * a[2] * w1 * w2 + a[3] * w1**2 + 3.0 * a[5] * w2**2
-    return _h(points, coeff), np.stack([dh1, dh2], axis=-1)
+    dh1 = a[0] + a[2] * w2_sq + 2.0 * a[3] * w1 * w2 + 3.0 * a[4] * w1_sq
+    dh2 = a[1] + 2.0 * a[2] * w1 * w2 + a[3] * w1_sq + 3.0 * a[5] * w2_sq
+    return _h(terms, coeff), np.stack([dh1, dh2], axis=-1)
 
 
 def _phi_over_cumnorm(h, log_cdf):
@@ -87,7 +94,7 @@ class SkewTarget(TargetModel):
 
     def log_lik_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
-        return _log_density(w, log_ndtr(_h(w, self.coeff)))
+        return _log_density(w, log_ndtr(_h(_terms(w), self.coeff)))
 
     def log_lik_and_grad_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)

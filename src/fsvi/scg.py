@@ -37,7 +37,7 @@ class ScgResult:
     n_evals: int
 
 
-def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
+def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None):
     """Maximise a differentiable objective with scaled conjugate gradients.
 
     Parameters
@@ -53,6 +53,13 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
         Iteration budget; each iteration costs at most two evaluations.
     grad_tol : float
         Terminate once the 2-norm of the gradient falls below this.
+    grad : callable, optional
+        Maps x to `fun(x)`'s gradient alone, made non-finite wherever
+        `fun(x)`'s value is. The curvature probes, which read only the
+        gradient, call it in place of `fun`; the run is then the same.
+    start : pair, optional
+        `fun(x0)`, when the caller already holds it; it still counts as
+        the run's first evaluation.
 
     Returns
     -------
@@ -75,7 +82,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
     x = np.array(x0, dtype=float).ravel()
     n = x.size
 
-    f0, g0 = fun(x)
+    f0, g0 = fun(x) if start is None else start
     n_evals = 1
     if not np.isfinite(f0) or not np.all(np.isfinite(g0)):
         raise InvalidStartError("objective or gradient non-finite at start")
@@ -113,7 +120,12 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8):
             if p_sq < 1e-300 or mu <= 0.0:
                 break
             sigma = probe / np.sqrt(p_sq)
-            f_probe, g_probe = fun(x + sigma * p)
+            # A probe's value is read only for its finiteness, which a
+            # gradient-only evaluation folds into its gradient.
+            if grad is None:
+                f_probe, g_probe = fun(x + sigma * p)
+            else:
+                f_probe, g_probe = 0.0, grad(x + sigma * p)
             n_evals += 1
             if not (np.isfinite(f_probe) and np.all(np.isfinite(g_probe))):
                 # No curvature estimate next to x: a rejected step. The

@@ -5,6 +5,8 @@ a direct-summation bound that never calls the library's vectorised path,
 a Monte-Carlo KL estimate, and central finite differences.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,14 @@ from fsvi.exceptions import (
     DimensionError,
     InvalidPosteriorError,
 )
-from fsvi.models import RbfDesign, RbfRegressionModel, synth_regression_data
+from fsvi.models import (
+    CauchyPpcaModel,
+    CauchyPpcaParams,
+    RbfDesign,
+    RbfRegressionModel,
+    synth_regression_data,
+)
+from fsvi.models.base import TargetModel
 
 _LN_2PI = np.log(2.0 * np.pi)
 
@@ -378,6 +387,79 @@ def test_fused_bound_matches_public_bound_bitwise(model_zoo):
         assert np.array_equal(
             g_l.reshape(post.L.shape), grad_L(model, post, hyper, samples)
         ), name
+
+
+def _gradient_only_agrees(objective, x):
+    """Check `objective.grad(x)` against `objective(x)`; True where both are finite.
+
+    The gradient-only form must give the same gradient bits, and be
+    non-finite exactly where the full evaluation's value or gradient is.
+    """
+    value, g = objective(x)
+    g_only = objective.grad(x)
+    finite = bool(np.isfinite(value) and np.all(np.isfinite(g)))
+    assert g_only.shape == g.shape
+    assert bool(np.all(np.isfinite(g_only))) == finite
+    if finite:
+        assert np.array_equal(g_only, g)
+    return finite
+
+
+def test_gradient_only_objectives_match_the_full_evaluation(model_zoo):
+    rng = np.random.default_rng(29)
+    for name, model, hyper in model_zoo:
+        m = model.dim
+        post = random_posterior(rng, m, factor_scale=0.3)
+        draws = rng.standard_normal((6, m))
+        objectives = [
+            (mu_objective, lambda p: p.mu),
+            (factor_objective, lambda p: p.L.ravel()),
+        ]
+        for build, at in objectives:
+            objective = build(model, post, hyper, SampleSet(draws, seed=0))
+            assert _gradient_only_agrees(objective, at(post)), name
+            # One NaN draw: that draw's value, and so the bound, is NaN.
+            nan_draw = draws.copy()
+            nan_draw[2, 0] = np.nan
+            objective = build(model, post, hyper, SampleSet(nan_draw, seed=0))
+            with np.errstate(invalid="ignore"):
+                assert not _gradient_only_agrees(objective, at(post)), name
+        factor = factor_objective(model, post, hyper, SampleSet(draws, seed=0))
+        # The singular barrier.
+        assert not _gradient_only_agrees(factor, np.zeros(post.L.size)), name
+        if model.prior == "gaussian":
+            # E_q[w^T w] overflows: the prior term is -inf.
+            objective = mu_objective(model, post, hyper, SampleSet(draws, seed=0))
+            big = np.full(m, 1e155)
+            with np.errstate(all="ignore"):
+                assert not _gradient_only_agrees(objective, big), name
+
+
+def test_gradient_only_objectives_reject_an_overflowing_cauchy_draw():
+    # |u| > 1.4e154 makes 1 + u^2 overflow: the draw's value is -inf, while
+    # its fused gradient row, u / (1 + u^2) = 0, stays finite.
+    d, q, n = 5, 2, 3
+    params = CauchyPpcaParams(np.ones((d, q)), np.zeros(d), 1.0)
+    model = CauchyPpcaModel(np.zeros((n, d)), params)
+    hyper = Hyperparameters(1.0)
+    post = VariationalPosterior(np.zeros(n * q), 0.1 * np.tile(np.eye(q), (n, 1, 1)))
+    draws = np.random.default_rng(31).standard_normal((4, n * q))
+    draws[1, 0] = 1e156
+    samples = SampleSet(draws, seed=0)
+    with np.errstate(over="ignore"):
+        values, grads = model.log_lik_and_grad_batch(post.transform(draws))
+        assert values[1] == -np.inf and np.all(np.isfinite(grads))
+        # The override and the base class's form from the fused pass agree.
+        base_form = partial(TargetModel.grad_log_lik_batch, model)
+        for form in (model.grad_log_lik_batch, base_form):
+            g_only = form(post.transform(draws))
+            assert np.all(np.isnan(g_only[1]))
+            others = np.delete(g_only, 1, axis=0)
+            assert np.array_equal(others, np.delete(grads, 1, axis=0))
+        for build, x in ((mu_objective, post.mu), (factor_objective, post.L.ravel())):
+            objective = build(model, post, hyper, samples)
+            assert objective(x)[0] == -np.inf
+            assert not _gradient_only_agrees(objective, x)
 
 
 @pytest.mark.parametrize(

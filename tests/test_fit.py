@@ -1,5 +1,7 @@
 """Alternating fit loop: recovery of known optima, traces, monitoring."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fsvi import (
     exact_blr_posterior,
     fit,
     fit_cauchy_ppca,
+    lower_bound_fs,
     ml_ppca_fit,
     monitor_generalisation,
     synth_image_data,
@@ -24,6 +27,7 @@ from fsvi.exceptions import (
 )
 from fsvi.fit import _optimise
 from fsvi.models import (
+    CauchyPpcaModel,
     GaussianTarget,
     RbfDesign,
     RbfRegressionModel,
@@ -33,6 +37,9 @@ from fsvi.models import (
     synth_regression_data,
 )
 from fsvi.models.base import TargetModel
+
+# The package re-exports the function `fit` under the submodule's name.
+fit_module = importlib.import_module("fsvi.fit")
 
 
 class NegInfModel(TargetModel):
@@ -277,3 +284,84 @@ def test_fit_cauchy_ppca_smoke():
     # Low-rank images with mild noise: the robust reconstruction should sit
     # well inside the pixel scale.
     assert float(np.mean(np.abs(recon - clean))) < 10.0
+
+
+def test_cauchy_fit_probes_form_no_values_and_reuses_its_bound(monkeypatch):
+    # The curvature probes take the gradient-only passes, which form no
+    # per-draw log. The training bound is the next mean block's start
+    # evaluation, so it costs no model pass of its own: outside the SCG
+    # blocks the fit makes one training-draw pass at its start and one per
+    # iteration, and each mean block one per evaluation but its start.
+    clean, _, _ = synth_image_data(24, seed=0, shape=(4, 5), latent_dim=2)
+    config = FitConfig(n_samples=10, max_iter=3, tol=0.0)
+    counts = {"logs": 0, "probe_logs": 0, "probes": 0, "passes": 0, "in_blocks": 0}
+    value_only_rows = []
+    bound_rows = []
+
+    value = CauchyPpcaModel._value
+
+    def counted_value(self, denom, with_value=True):
+        counts["logs"] += with_value
+        return value(self, denom, with_value)
+
+    monkeypatch.setattr(CauchyPpcaModel, "_value", counted_value)
+
+    def counted_pass(name, probe):
+        method = getattr(CauchyPpcaModel, name)
+
+        def wrapped(self, w_batch):
+            assert len(w_batch) == config.n_samples, name
+            logs = counts["logs"]
+            out = method(self, w_batch)
+            counts["passes"] += 1
+            if probe:
+                counts["probes"] += 1
+                counts["probe_logs"] += counts["logs"] - logs
+            return out
+
+        monkeypatch.setattr(CauchyPpcaModel, name, wrapped)
+
+    for name in ("log_lik_and_grad_batch", "model_params_value_and_grad"):
+        counted_pass(name, probe=False)
+    for name in ("grad_log_lik_batch", "model_params_grad"):
+        counted_pass(name, probe=True)
+
+    log_lik_batch = CauchyPpcaModel.log_lik_batch
+
+    def value_only(self, w_batch):
+        value_only_rows.append(len(w_batch))
+        return log_lik_batch(self, w_batch)
+
+    monkeypatch.setattr(CauchyPpcaModel, "log_lik_batch", value_only)
+
+    scg = fit_module.scg_maximise
+
+    def counted_scg(*args, **kwargs):
+        passes = counts["passes"]
+        result = scg(*args, **kwargs)
+        counts["in_blocks"] += counts["passes"] - passes
+        if args[0].__qualname__.startswith("mu_objective."):
+            assert kwargs["start"] is not None
+            assert counts["passes"] - passes == result.n_evals - 1
+        return result
+
+    monkeypatch.setattr(fit_module, "scg_maximise", counted_scg)
+    bound = fit_module.lower_bound_fs
+
+    def counted_bound(model, post, hyper, samples):
+        bound_rows.append(samples.size)
+        return bound(model, post, hyper, samples)
+
+    monkeypatch.setattr(fit_module, "lower_bound_fs", counted_bound)
+
+    report, _ = fit_cauchy_ppca(clean, 2, config, seed=0)
+    assert report.iterations == 3
+    assert counts["probes"] > 0 and counts["probe_logs"] == 0
+    assert counts["passes"] - counts["in_blocks"] == 1 + report.iterations
+    # Only the held-out draws are scored apart from the blocks.
+    assert bound_rows == value_only_rows == [config.n_holdout] * 3
+    monkeypatch.undo()
+    assert report.trace[-1][1] == lower_bound_fs(
+        report.model, report.posterior, report.hyper, report.samples
+    )
+

@@ -352,6 +352,39 @@ def test_cauchy_batched_model_params_gradient():
     assert err < 1e-6, f"model-parameter gradient off by {err}"
 
 
+def test_cauchy_model_params_gradient_only_form():
+    # The same gradient bits as the fused pass, and NaN exactly where its
+    # value is not finite: a NaN draw, a draw whose 1 + u^2 overflows, and
+    # a scale whose -N d ln(gamma) term is -inf.
+    rng = np.random.default_rng(15)
+    d, q, n, s = 5, 2, 4, 6
+    params = CauchyPpcaParams(rng.standard_normal((d, q)), rng.standard_normal(d), 0.7)
+    model = CauchyPpcaModel(rng.standard_normal((n, d)), params)
+    w = rng.standard_normal((s, n * q))
+    value, grad = model.model_params_value_and_grad(w)
+    assert np.isfinite(value)
+    assert np.array_equal(model.model_params_grad(w), grad)
+
+    nan_draw = w.copy()
+    nan_draw[3, 1] = np.nan
+    far_draw = w.copy()
+    far_draw[3, 1] = 1e156
+    theta = model.model_params
+    theta[-1] = 800.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge_scale = model.with_model_params(theta)
+        cases = [(model, nan_draw), (model, far_draw), (huge_scale, w)]
+        for case, draws in cases:
+            value, grad = case.model_params_value_and_grad(draws)
+            assert not np.isfinite(value)
+            assert np.all(np.isnan(case.model_params_grad(draws)))
+            # The base class derives the same form from the fused pass.
+            assert np.all(np.isnan(TargetModel.model_params_grad(case, draws)))
+        # The infinite scale leaves the fused gradient finite: only the
+        # gradient-only form's NaN flags it.
+        assert np.all(np.isfinite(huge_scale.model_params_value_and_grad(w)[1]))
+
+
 def test_cauchy_model_params_round_trip():
     rng = np.random.default_rng(12)
     params = CauchyPpcaParams(rng.standard_normal((4, 2)), rng.standard_normal(4), 0.6)
@@ -374,7 +407,9 @@ def _cauchy_passes(model):
     return {
         "log_lik_batch": model.log_lik_batch,
         "log_lik_and_grad_batch": model.log_lik_and_grad_batch,
+        "grad_log_lik_batch": model.grad_log_lik_batch,
         "model_params_value_and_grad": model.model_params_value_and_grad,
+        "model_params_grad": model.model_params_grad,
     }
 
 

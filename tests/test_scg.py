@@ -165,6 +165,67 @@ def test_objective_failing_just_off_the_start(failure):
     assert np.max(np.abs(res.x - 1.0)) < 1e-8, f"stopped at {res.x}"
 
 
+def _gradient_only(fun):
+    """fun's gradient alone, NaN wherever fun's value is not finite."""
+
+    def grad(x):
+        value, g = fun(x)
+        return g if np.isfinite(value) else np.full_like(x, np.nan)
+
+    return grad
+
+
+@pytest.mark.parametrize("edge", [0.0, 1e-7])
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_gradient_only_probes_repeat_the_run(failure, edge):
+    # Probes that call `grad` in place of `fun` evaluate the same points,
+    # reject the same failures and return the same result.
+    fun = _fails_off(edge, _FAILURES[failure])
+    grad_only = _gradient_only(fun)
+    runs = []
+    for use_grad in (False, True):
+        evaluated, probes = [], []
+
+        def evaluate(x):
+            evaluated.append(x.copy())
+            return fun(x)
+
+        def grad(x):
+            evaluated.append(x.copy())
+            probes.append(x.copy())
+            return grad_only(x)
+
+        res = scg_maximise(evaluate, np.zeros(2), grad=grad if use_grad else None)
+        runs.append((res, evaluated, probes))
+    (full, full_points, _), (probed, probed_points, probes) = runs
+    assert probes, "no probe called the gradient-only form"
+    assert probed.n_evals == full.n_evals == len(full_points) == len(probed_points)
+    assert all(np.array_equal(a, b) for a, b in zip(full_points, probed_points))
+    assert np.array_equal(probed.x, full.x) and probed.value == full.value
+    assert probed.iterations == full.iterations
+    assert probed.converged == full.converged
+
+
+def test_start_pair_repeats_the_run():
+    # A start pair equal to fun(x0) gives the bitwise-identical result,
+    # and the run does not evaluate x0 again.
+    x0 = np.array([-1.2, 1.0])
+    evaluated = []
+
+    def fun(x):
+        evaluated.append(x.copy())
+        return neg_rosenbrock(x)
+
+    res = scg_maximise(neg_rosenbrock, x0, max_iters=50)
+    started = scg_maximise(fun, x0, max_iters=50, start=neg_rosenbrock(x0))
+    assert started.x.tobytes() == res.x.tobytes()
+    assert float(started.value).hex() == float(res.value).hex()
+    assert (started.iterations, started.converged, started.n_evals) == (
+        res.iterations, res.converged, res.n_evals
+    )
+    assert len(evaluated) == res.n_evals - 1
+
+
 def test_stops_at_its_own_fixed_point():
     # Restart 5 of the Laplace mode search on the first bivariate target
     # reaches the mode in a few iterations, with a gradient norm (~1.4e-10)
