@@ -294,21 +294,46 @@ def test_short_spectrum_benchmark_keeps_its_bits():
     assert [float(v).hex() for v in result["mse_laplace"]] == ["0x1.9b8378d6d6dd0p-9"]
 
 
-def test_bivariate_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+# Short CLI runs of each pipeline; blr-overfit's monitor needs ten
+# iterations.
+_SHORT_RUNS = {
+    "bivariate": ["--samples", "10", "--max-iter", "2"],
+    "blr": ["--max-iter", "2"],
+    "blr-overfit": ["--max-iter", "10"],
+    "logistic": ["--max-iter", "2"],
+    "multiclass": ["--max-iter", "2"],
+    "cauchy-ppca": ["--max-iter", "2"],
+}
+
+
+def _cli_files(kind, out, blas_threads, preexec_fn=None):
     src = str(pathlib.Path(fsvi.__file__).resolve().parents[1])
-    files = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run(
-            [sys.executable, "-m", "fsvi.cli", "--experiment", "bivariate",
-             "--seed", "0", "--samples", "10", "--max-iter", "2", "--out", str(out)],
-            env=env, check=True, capture_output=True,
-        )
-        files.append([(out / name).read_bytes()
-                      for name in ("kld_table.csv", "metrics.csv")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run(
+        [sys.executable, "-m", "fsvi.cli", "--experiment", kind, "--seed", "0",
+         *_SHORT_RUNS[kind], "--out", str(out)],
+        env=env, check=True, capture_output=True, preexec_fn=preexec_fn,
+    )
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHORT_RUNS))
+def test_pipeline_files_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
+    files = [_cli_files(kind, tmp_path / threads, threads) for threads in ("1", "2")]
     assert files[0] == files[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity")
+def test_cauchy_files_do_not_depend_on_the_usable_cpus(tmp_path):
+    # Pinned to one CPU, every Cauchy pass runs on the calling thread; the
+    # default run splits its denoising-size passes when two CPUs are usable.
+    cpu = min(os.sched_getaffinity(0))
+    default = _cli_files("cauchy-ppca", tmp_path / "default", "1")
+    pinned = _cli_files("cauchy-ppca", tmp_path / "pinned", "1",
+                        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert default == pinned
 
 
 def test_bivariate_scores_each_target_density_on_the_grid_once(tmp_path, monkeypatch):

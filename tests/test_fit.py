@@ -292,6 +292,10 @@ def test_cauchy_fit_probes_form_no_values_and_reuses_its_bound(monkeypatch):
     # evaluation, so it costs no model pass of its own: outside the SCG
     # blocks the fit makes one training-draw pass at its start and one per
     # iteration, and each mean block one per evaluation but its start.
+    # The counters below are not thread-safe. They hold because a 4 x 5
+    # image's slab is below the split gate, so every pass runs on this
+    # thread; on images of the denoising size the worker would call
+    # `_value` too.
     clean, _, _ = synth_image_data(24, seed=0, shape=(4, 5), latent_dim=2)
     config = FitConfig(n_samples=10, max_iter=3, tol=0.0)
     counts = {"logs": 0, "probe_logs": 0, "probes": 0, "passes": 0, "in_blocks": 0}

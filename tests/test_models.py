@@ -1,6 +1,10 @@
 """Model likelihoods: hand-computed values, gradient contracts, generators."""
 
 import inspect
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -36,6 +40,7 @@ from fsvi.models import (
     synth_spectrum_data,
     true_regression_curve,
 )
+from fsvi.models import cauchy_ppca
 from fsvi.models.base import TargetModel
 
 _LN_2PI = np.log(2.0 * np.pi)
@@ -475,6 +480,163 @@ def test_cauchy_pass_memory_is_one_draw_slab():
         finally:
             tracemalloc.stop()
         assert peak < 8 * slab, f"{name}: peak {peak} bytes, slab {slab}"
+
+
+def _split_case(monkeypatch):
+    # One draw's 200 x 504 slab is above the split gate, and two CPUs count
+    # as usable on any machine, so a pass over two or more draws gives its
+    # second half to the worker.
+    monkeypatch.setattr(cauchy_ppca, "_usable_cpus", lambda: 2)
+    model, rng = _cauchy_case(n=200, d=504)
+    assert model.data.size >= cauchy_ppca._SPLIT_MIN_ENTRIES
+    return model, rng
+
+
+def _bits(out):
+    parts = out if isinstance(out, tuple) else (out,)
+    return [(np.shape(p), np.asarray(p).tobytes()) for p in parts]
+
+
+def _count_splits(monkeypatch):
+    splits = []
+    draw_worker = cauchy_ppca._draw_worker
+
+    def counted():
+        splits.append(os.getpid())
+        return draw_worker()
+
+    monkeypatch.setattr(cauchy_ppca, "_draw_worker", counted)
+    return splits
+
+
+@pytest.mark.parametrize("s", [20, 21])
+def test_cauchy_split_passes_give_the_one_thread_bits(monkeypatch, s):
+    # The latent passes equal stacked batches of one, which run inline; the
+    # model-parameter passes equal the same batch with one usable CPU, which
+    # sums its draws in the same order on one thread. A NaN draw in each half
+    # gives the gradient-only forms their NaN rows and NaN gradient.
+    model, rng = _split_case(monkeypatch)
+    clean = rng.standard_normal((s, model.dim))
+    nan_draws = clean.copy()
+    nan_draws[2, 0] = nan_draws[s - 2, 1] = np.nan
+    passes = _cauchy_passes(model)
+    latent = ("log_lik_batch", "log_lik_and_grad_batch", "grad_log_lik_batch")
+    for w in (clean, nan_draws):
+        with monkeypatch.context() as patch:
+            splits = _count_splits(patch)
+            split = {name: _bits(pass_(w)) for name, pass_ in passes.items()}
+            assert len(splits) == len(passes)
+            for name in latent:
+                rows = [passes[name](row[None]) for row in w]
+                if isinstance(rows[0], tuple):
+                    ref = tuple(np.concatenate(parts) for parts in zip(*rows))
+                else:
+                    ref = np.concatenate(rows)
+                assert split[name] == _bits(ref), name
+            patch.setattr(cauchy_ppca, "_usable_cpus", lambda: 1)
+            for name in ("model_params_value_and_grad", "model_params_grad"):
+                assert split[name] == _bits(passes[name](w)), name
+            assert len(splits) == len(passes)
+    grad_rows = model.grad_log_lik_batch(nan_draws)
+    assert np.isnan(grad_rows[[2, s - 2]]).all()
+    assert np.isfinite(np.delete(grad_rows, [2, s - 2], axis=0)).all()
+    assert np.isnan(model.model_params_grad(nan_draws)).all()
+
+
+def test_cauchy_split_pass_memory_is_a_few_draw_slabs(monkeypatch):
+    # The split pass holds each half's buffers, not one slab per draw.
+    model, rng = _split_case(monkeypatch)
+    w = rng.standard_normal((100, model.dim))
+    slab = model.data.nbytes
+    for name, pass_ in _cauchy_passes(model).items():
+        tracemalloc.start()
+        try:
+            pass_(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * slab, f"{name}: peak {peak} bytes, slab {slab}"
+
+
+def test_cauchy_split_pass_survives_fork_and_errors(monkeypatch):
+    model, rng = _split_case(monkeypatch)
+    w = rng.standard_normal((20, model.dim))
+    expected = _bits(model.log_lik_and_grad_batch(w))
+    assert cauchy_ppca._worker[0] == os.getpid()
+
+    # A forked child does not inherit the parent's worker thread: it makes
+    # its own and gives the parent's bits.
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+
+    def child():
+        out = _bits(model.log_lik_and_grad_batch(w))
+        sender.send((out, cauchy_ppca._worker[0] == os.getpid()))
+
+    proc = ctx.Process(target=child)
+    proc.start()
+    try:
+        assert receiver.poll(60), "the child's split pass did not finish"
+        out, own_worker = receiver.recv()
+    finally:
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+    assert not proc.is_alive() and proc.exitcode == 0
+    assert own_worker and out == expected
+
+    with pytest.raises(ValueError):
+        model.log_lik_and_grad_batch(w[:, :-1])
+    assert _bits(model.log_lik_and_grad_batch(w)) == expected
+
+    # An error in either half reaches the caller, and only after the other
+    # half has run all its draws.
+    draw_stats = model._draw_stats
+    for failing_half in ("caller", "worker"):
+        calls = {"caller": 0, "worker": 0}
+
+        def stats(x_s, u, denom):
+            half = "caller" if threading.current_thread() is threading.main_thread() else "worker"
+            calls[half] += 1
+            if half == failing_half:
+                raise RuntimeError(half)
+            draw_stats(x_s, u, denom)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_draw_stats", stats)
+            with pytest.raises(RuntimeError, match=failing_half):
+                model.log_lik_and_grad_batch(w)
+        other_half = "worker" if failing_half == "caller" else "caller"
+        assert calls == {failing_half: 1, other_half: 10}
+        assert _bits(model.log_lik_and_grad_batch(w)) == expected
+
+
+def test_cauchy_split_passes_from_many_threads_keep_their_bits(monkeypatch):
+    # More callers than cores share the one worker, and race to make it;
+    # a short switch interval interleaves them often. Every pass must still
+    # give the bits of the same pass run alone.
+    model, rng = _split_case(monkeypatch)
+    batches = [rng.standard_normal((s, model.dim)) for s in (20, 21, 2, 7)]
+    expected = [_bits(model.model_params_value_and_grad(w)) for w in batches]
+    monkeypatch.setattr(cauchy_ppca, "_worker", (None, None))
+    results = [[] for _ in batches]
+
+    def caller(k):
+        for _ in range(5):
+            results[k].append(_bits(model.model_params_value_and_grad(batches[k])))
+
+    threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[bits] * 5 for bits in expected]
 
 
 def test_cauchy_reconstruct():
