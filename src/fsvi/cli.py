@@ -18,51 +18,40 @@ EXIT_OK = 0
 EXIT_DATA = 3
 
 
+# Each config-file key, mapped to its ExperimentConfig field and the
+# argparse settings of its flag (the key with `-` for `_`).
+_CONFIG_KEYS = {
+    "experiment": ("kind", dict(
+        choices=EXPERIMENT_KINDS, help="experiment kind to run")),
+    "data": ("data", dict(help="CSV file or split directory (optional)")),
+    "samples": ("n_samples", dict(
+        type=int, help="number of fixed draws S used for fitting")),
+    "holdout_samples": ("n_holdout", dict(
+        type=int,
+        help="number of held-out draws used for monitoring (default 5x samples)")),
+    "inner_iters": ("inner_iters", dict(
+        type=int, help="conjugate-gradient steps per block")),
+    "max_iter": ("max_iter", dict(type=int, help="maximum outer iterations")),
+    "tol": ("tol", dict(
+        type=float, help="outer-loop bound-change stopping tolerance")),
+    "seed": ("seed", dict(type=int, help="random seed (mandatory)")),
+    "out": ("out_dir", dict(help="output directory (mandatory)")),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fsvi",
         description="Fit Gaussian posteriors on fixed latent draws and "
         "run the bundled comparison experiments.",
     )
-    parser.add_argument(
-        "--experiment", choices=EXPERIMENT_KINDS, help="experiment kind to run"
-    )
-    parser.add_argument("--data", help="CSV file or split directory (optional)")
-    parser.add_argument(
-        "--samples", type=int, help="number of fixed draws S used for fitting"
-    )
-    parser.add_argument(
-        "--holdout-samples",
-        type=int,
-        help="number of held-out draws used for monitoring (default 5x samples)",
-    )
-    parser.add_argument(
-        "--inner-iters", type=int, help="conjugate-gradient steps per block"
-    )
-    parser.add_argument("--max-iter", type=int, help="maximum outer iterations")
-    parser.add_argument(
-        "--tol", type=float, help="outer-loop bound-change stopping tolerance"
-    )
-    parser.add_argument("--seed", type=int, help="random seed (mandatory)")
-    parser.add_argument("--out", help="output directory (mandatory)")
+    for key, (_, settings) in _CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), **settings)
     parser.add_argument(
         "--config",
         help="JSON file with the same keys as the flags; flags take precedence",
     )
     return parser
-
-
-_CONFIG_KEYS = {
-    "experiment": "kind",
-    "data": "data",
-    "samples": "n_samples",
-    "holdout_samples": "n_holdout",
-    "inner_iters": "inner_iters",
-    "max_iter": "max_iter",
-    "tol": "tol",
-    "seed": "seed",
-    "out": "out_dir",
-}
 
 
 def _load_config_file(path):
@@ -98,7 +87,7 @@ def build_experiment_config(args):
     if "out" not in merged:
         raise ConfigError("an output directory is required (--out)")
 
-    kwargs = {_CONFIG_KEYS[k]: v for k, v in merged.items()}
+    kwargs = {_CONFIG_KEYS[k][0]: v for k, v in merged.items()}
     return ExperimentConfig(**kwargs)
 
 

@@ -23,7 +23,7 @@ from .evaluate import (
     reconstruction_error,
 )
 from .exceptions import ConfigError, DataFormatError
-from .fit import FitConfig, fit, monitor_generalisation
+from .fit import FitConfig, fit, fit_steps, monitor_generalisation
 from .io import load_csv_dataset, save_posterior, write_csv
 from .models import (
     CauchyPpcaModel,
@@ -64,6 +64,8 @@ _LATENT_DIM = 2
 _N_IMAGES = 200
 _IMAGE_NOISE_SD = 2.0
 _CORRUPTION = 1.0 / 3.0
+# The image latents' standard normal prior: alpha stays at one.
+_LATENT_PRIOR = dict(fix_alpha=True, init_alpha=1.0)
 
 # Posterior parameter draws behind each accuracy and test MSE.
 _SCORE_DRAWS = 200
@@ -425,17 +427,6 @@ def corrupt_pixels(images, fraction, seed):
     return out
 
 
-def _fit_latents(data, params, config, seed, init_mu, optimise_model_params=True):
-    """Fit the latent posterior of a Cauchy PPCA model from `init_mu`.
-
-    The loading, offset and scale in `params` train on the same bound
-    unless `optimise_model_params` is off.
-    """
-    fc = _fit_config(config, fix_alpha=True, init_alpha=1.0, init_mu=init_mu,
-                     optimise_model_params=optimise_model_params)
-    return fit(CauchyPpcaModel(data, params), fc, seed=seed)
-
-
 def fit_cauchy_ppca(train, latent_dim, config, seed):
     """Train loading/offset/scale and the training-set latent posterior.
 
@@ -448,8 +439,8 @@ def fit_cauchy_ppca(train, latent_dim, config, seed):
     residuals = train - warm.reconstruct(train)
     scale = max(float(np.median(np.abs(residuals))), 1e-3)
     params = CauchyPpcaParams(warm.loading, warm.offset, scale)
-    report = _fit_latents(train, params, config, seed, warm.latents(train).ravel())
-    return report, warm
+    fc = _fit_config(config, init_mu=warm.latents(train).ravel(), **_LATENT_PRIOR)
+    return fit(CauchyPpcaModel(train, params), fc, seed=seed), warm
 
 
 def _run_cauchy_ppca(config):
@@ -470,13 +461,14 @@ def _run_cauchy_ppca(config):
     fitted = report.model
 
     # Test-time latents are fitted against the corrupted test images with
-    # the trained model parameters held fixed.
+    # the trained model parameters held fixed; only their mean is read.
     test_init = np.linalg.lstsq(
         fitted.params.loading, (test_c - fitted.params.offset).T, rcond=None
     )[0].T.ravel()
-    test_report = _fit_latents(test_c, fitted.params, config, config.seed + 2,
-                               test_init, optimise_model_params=False)
-    rec_cauchy = fitted.reconstruct(test_report.posterior.mu.reshape(-1, _LATENT_DIM))
+    fc = _fit_config(config, init_mu=test_init, optimise_model_params=False,
+                     **_LATENT_PRIOR)
+    *_, test = fit_steps(CauchyPpcaModel(test_c, fitted.params), fc, seed=config.seed + 2)
+    rec_cauchy = fitted.reconstruct(test.posterior.mu.reshape(-1, _LATENT_DIM))
     rec_gauss = gauss.reconstruct(test_c)
 
     err_cauchy = [
@@ -536,6 +528,11 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
     the quantity of interest. Returns per-split MSE arrays and their
     standard deviations.
     """
+    if min(n_splits, n_train, n_test) < 1:
+        raise ConfigError("n_splits, n_train and n_test must be >= 1, got "
+                          f"{n_splits}, {n_train}, {n_test}")
+    if not noise_sd > 0.0:
+        raise ConfigError(f"noise_sd must be positive, got {noise_sd}")
     beta = 1.0 / noise_sd ** 2
     mse_fit = []
     mse_lap = []
@@ -548,7 +545,7 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
         model = SpectrumDecayModel(
             xtr[:, 0].astype(int), xtr[:, 1], xtr[:, 2], ytr
         )
-        report = fit(
+        *_, last = fit_steps(
             model,
             FitConfig(n_samples=_SPECTRUM_SAMPLES, max_iter=max_iter,
                       fix_beta=True, init_beta=beta),
@@ -558,7 +555,7 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
             model, Hyperparameters(None, beta), seed=seed + i
         )
         rng = np.random.default_rng(seed + i)
-        mse_fit.append(_mean_draw_mse(report.posterior, model, xte, yte, rng))
+        mse_fit.append(_mean_draw_mse(last.posterior, model, xte, yte, rng))
         mse_lap.append(_mean_draw_mse(lap, model, xte, yte, rng))
     return {
         "mse_fit": np.asarray(mse_fit),

@@ -4,11 +4,13 @@ One outer iteration runs a short conjugate-gradient block on the posterior
 mean, another on the posterior factor, then applies the closed-form
 hyperparameter updates (and, for models that have them, a gradient block
 on model parameters). The loop stops when the bound change falls below a
-tolerance. A second, larger draw set is scored every iteration so
-generalisation of the bound can be monitored afterwards.
+tolerance. `fit_steps` yields each iteration's state; `fit` drives it and
+scores a second, larger draw set after each iteration, so generalisation
+of the bound can be monitored afterwards.
 """
 
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -123,12 +125,18 @@ def _optimise_model_params(model, post, samples, iters):
     return model.with_model_params(_optimise(objective, model.model_params, iters))
 
 
-def fit(model, config=None, seed=0):
-    """Fit a Gaussian posterior to `model` by maximising the finite-sample bound.
+FitStep = namedtuple(
+    "FitStep", "iteration model posterior hyper bound converged samples holdout"
+)
 
-    The draw sets, the initial mean, and therefore the whole trajectory
-    are determined by `seed`; two fits with identical arguments produce
-    identical traces.
+
+def fit_steps(model, config=None, seed=0):
+    """Yield a `FitStep` at the start (iteration 0) and after each outer iteration.
+
+    `bound` is the training bound; `converged` is set on a last step whose
+    bound moved by less than `tol`. The draw sets, the initial mean, and
+    therefore the whole trajectory are determined by `seed`. The held-out
+    draws ride along unscored: `fit` scores them.
     """
     config = config or FitConfig()
     m = model.dim
@@ -155,56 +163,64 @@ def fit(model, config=None, seed=0):
         model.model_params is not None and config.optimise_model_params
     )
 
-    # The training bound is the mean block's objective at its start point,
-    # so the next mean block starts from that same evaluation.
-    objective = mu_objective(model, post, hyper, samples)
-    start = objective(post.mu)
-    bound_prev = start[0]
-    if not np.isfinite(bound_prev):
-        raise NumericalFailureError("bound non-finite at start", iteration=0)
-
-    trace = []
-    converged = False
-    bound_decreased = False
     iters = config.inner_iters
-    for iteration in range(1, config.max_iter + 1):
-        mu = _optimise(objective, post.mu, iters, start)
-        post = VariationalPosterior(mu, post.L)
-        flat_l = _optimise(
-            factor_objective(model, post, hyper, samples), post.L.ravel(), iters
-        )
-        post = VariationalPosterior(post.mu, flat_l.reshape(post.L.shape))
-        if hyper.alpha is not None and not config.fix_alpha:
-            hyper = replace(hyper, alpha=update_alpha(post))
-        if hyper.beta is not None and not config.fix_beta:
-            hyper = replace(hyper, beta=update_beta(model, post, samples))
-        if has_model_params:
-            model = _optimise_model_params(model, post, samples, iters)
+    for iteration in range(config.max_iter + 1):
+        if iteration:
+            mu = _optimise(objective, post.mu, iters, start)
+            post = VariationalPosterior(mu, post.L)
+            flat_l = _optimise(
+                factor_objective(model, post, hyper, samples), post.L.ravel(), iters
+            )
+            post = VariationalPosterior(post.mu, flat_l.reshape(post.L.shape))
+            if hyper.alpha is not None and not config.fix_alpha:
+                hyper = replace(hyper, alpha=update_alpha(post))
+            if hyper.beta is not None and not config.fix_beta:
+                hyper = replace(hyper, beta=update_beta(model, post, samples))
+            if has_model_params:
+                model = _optimise_model_params(model, post, samples, iters)
 
+        # The training bound is the mean block's objective at its start point,
+        # so the next mean block starts from that same evaluation.
         objective = mu_objective(model, post, hyper, samples)
         start = objective(post.mu)
-        bound_new = start[0]
-        bound_hold = lower_bound_fs(model, post, hyper, holdout)
-        if not np.isfinite(bound_new) or not np.isfinite(bound_hold):
-            raise NumericalFailureError(
-                f"bound non-finite at iteration {iteration}", iteration=iteration
-            )
-        trace.append((iteration, bound_new, bound_hold))
-        if bound_new < bound_prev:
-            bound_decreased = True
-        if abs(bound_new - bound_prev) < config.tol:
-            converged = True
-            break
-        bound_prev = bound_new
+        bound = start[0]
+        if not np.isfinite(bound):
+            where = f"iteration {iteration}" if iteration else "start"
+            raise NumericalFailureError(f"bound non-finite at {where}", iteration=iteration)
+        converged = bool(iteration and abs(bound - bound_prev) < config.tol)
+        yield FitStep(iteration, model, post, hyper, bound, converged, samples, holdout)
+        if converged:
+            return
+        bound_prev = bound
+
+
+def fit(model, config=None, seed=0):
+    """Fit a Gaussian posterior to `model` by maximising the finite-sample bound.
+
+    Runs `fit_steps` and scores the held-out draws after each iteration;
+    two fits with identical arguments produce identical traces.
+    """
+    bounds = []
+    trace = []
+    for step in fit_steps(model, config, seed):
+        bounds.append(step.bound)
+        if step.iteration:
+            hold = lower_bound_fs(step.model, step.posterior, step.hyper, step.holdout)
+            if not np.isfinite(hold):
+                raise NumericalFailureError(
+                    f"bound non-finite at iteration {step.iteration}",
+                    iteration=step.iteration,
+                )
+            trace.append((step.iteration, step.bound, hold))
 
     return FitReport(
-        posterior=post,
-        hyper=hyper,
+        posterior=step.posterior,
+        hyper=step.hyper,
         trace=trace,
-        converged=converged,
-        bound_decreased=bound_decreased,
-        model=model,
-        samples=samples,
+        converged=step.converged,
+        bound_decreased=any(b < a for a, b in zip(bounds, bounds[1:])),
+        model=step.model,
+        samples=step.samples,
     )
 
 

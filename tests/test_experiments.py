@@ -1,6 +1,7 @@
 """Experiment-level helpers: configuration checks, corruption, accuracy,
 and the files every pipeline writes."""
 
+import importlib
 import os
 import pathlib
 import re
@@ -31,6 +32,9 @@ from fsvi.models import (
     SkewTarget,
     synth_classification_data,
 )
+
+# The package re-exports the function `fit` under the submodule's name.
+fit_module = importlib.import_module("fsvi.fit")
 
 
 def test_config_requires_a_seed():
@@ -224,7 +228,9 @@ def test_pipeline_writes_its_documented_files_reproducibly(tmp_path, kind):
 # come from the code before the unused call forms were deleted, and hold
 # with one and with two BLAS threads. Bivariate target 0's KL rows are
 # pinned as well: each grid integral is a fixed-order sum, so they do not
-# depend on the BLAS thread count.
+# depend on the BLAS thread count. So are the first cauchy-ppca test-image
+# errors, which the test-time latent fit sets; they come from the code
+# before that fit stopped scoring held-out draws.
 _GOLDEN = {
     "blr": (
         5, {"trace_blr.csv": ["5", "-0x1.0d27c41dccfcfp+5", "-0x1.2d87a75f539bfp+5"]},
@@ -284,6 +290,11 @@ def test_short_fits_keep_their_bits(tmp_path, kind):
             ["laplace", "p-to-q", "0x1.e08faf4ec3792p-2"],
             ["laplace", "q-to-p", "0x1.8bf7fd7dfd5c2p+2"],
         ]
+    if kind == "cauchy-ppca":
+        rows = _csv_rows(tmp_path / "errors.csv")
+        assert [float(row[1]).hex() for row in rows[1:4]] == [
+            "0x1.80fda5f104cc4p-12", "0x1.4015aa031d91bp-11", "0x1.4208d05ad8f7bp-11",
+        ]
 
 
 def test_short_spectrum_benchmark_keeps_its_bits():
@@ -292,6 +303,35 @@ def test_short_spectrum_benchmark_keeps_its_bits():
     result = spectrum_mse_benchmark(n_splits=1, seed=0, max_iter=20)
     assert [float(v).hex() for v in result["mse_fit"]] == ["0x1.8cef1ff6240a7p-9"]
     assert [float(v).hex() for v in result["mse_laplace"]] == ["0x1.9b8378d6d6dd0p-9"]
+
+
+def test_held_out_draws_are_scored_only_where_they_are_read(tmp_path, monkeypatch):
+    # The training fit's trace is written; the test-time latent fit and the
+    # spectrum fits are read for their posterior only.
+    rows = []
+    bound = fit_module.lower_bound_fs
+
+    def counted(model, post, hyper, samples):
+        rows.append(samples.size)
+        return bound(model, post, hyper, samples)
+
+    monkeypatch.setattr(fit_module, "lower_bound_fs", counted)
+    config = ExperimentConfig(kind="cauchy-ppca", seed=0, out_dir=str(tmp_path),
+                              max_iter=2)
+    run_experiment(config)
+    assert rows == [config.n_holdout] * 2
+    rows.clear()
+    spectrum_mse_benchmark(n_splits=1, seed=0, max_iter=3)
+    assert rows == []
+
+
+@pytest.mark.parametrize("bad", [
+    dict(n_splits=0), dict(n_train=0), dict(n_test=0), dict(noise_sd=0.0),
+    dict(noise_sd=-0.05), dict(noise_sd=float("nan")),
+])
+def test_spectrum_benchmark_rejects_empty_splits_and_zero_noise(bad):
+    with pytest.raises(ConfigError):
+        spectrum_mse_benchmark(**{"max_iter": 1, **bad})
 
 
 # Short CLI runs of each pipeline; blr-overfit's monitor needs ten

@@ -14,6 +14,7 @@ from fsvi import (
     exact_blr_posterior,
     fit,
     fit_cauchy_ppca,
+    fit_steps,
     lower_bound_fs,
     ml_ppca_fit,
     monitor_generalisation,
@@ -184,6 +185,42 @@ def test_non_finite_bound_raises_at_iteration_zero():
     with pytest.raises(NumericalFailureError) as excinfo:
         fit(NegInfModel(), FitConfig(n_samples=5, max_iter=5), seed=0)
     assert excinfo.value.iteration == 0
+    assert str(excinfo.value) == "bound non-finite at start"
+
+
+def test_fit_steps_are_the_fit_without_its_held_out_scores():
+    model = GaussianTarget([0.3, -0.2], [[1.0, 0.3], [0.3, 0.8]])
+
+    def steps(max_iter, tol):
+        config = FitConfig(n_samples=10, max_iter=max_iter, tol=tol)
+        return list(fit_steps(model, config, seed=1)), fit(model, config, seed=1)
+
+    free, report = steps(100, 1e-6)
+    assert [s.iteration for s in free] == list(range(len(free)))
+    assert [s.bound for s in free[1:]] == [row[1] for row in report.trace]
+    last = free[-1]
+    assert np.array_equal(last.posterior.mu, report.posterior.mu)
+    assert np.array_equal(last.posterior.L, report.posterior.L)
+    assert last.converged is report.converged is True
+    assert [s.converged for s in free] == [False] * (len(free) - 1) + [True]
+    assert report.bound_decreased == any(
+        b.bound < a.bound for a, b in zip(free, free[1:])
+    )
+
+    # The same tolerance met on the last allowed iteration, then missed
+    # one iteration short of it.
+    n = last.iteration
+    assert steps(n, 1e-6)[0][-1].converged
+    short, report = steps(n - 1, 1e-6)
+    assert len(short) == n and not short[-1].converged and not report.converged
+    # At tol=0 no step converges.
+    assert not any(s.converged for s in steps(n + 5, 0.0)[0])
+
+    # At max_iter=1 the one move decides.
+    first, _ = steps(1, 0.0)
+    moved = abs(first[1].bound - first[0].bound)
+    assert [s.converged for s in steps(1, 2.0 * moved)[0]] == [False, True]
+    assert [s.converged for s in steps(1, 0.5 * moved)[0]] == [False, False]
 
 
 def test_softmax_factor_is_block_diagonal():
