@@ -80,13 +80,6 @@ def build_experiment_config(args):
         if value is not None:
             merged[flag] = value
 
-    if "experiment" not in merged:
-        raise ConfigError("an experiment kind is required (--experiment)")
-    if "seed" not in merged:
-        raise ConfigError("a seed is required (--seed)")
-    if "out" not in merged:
-        raise ConfigError("an output directory is required (--out)")
-
     kwargs = {_CONFIG_KEYS[k][0]: v for k, v in merged.items()}
     return ExperimentConfig(**kwargs)
 

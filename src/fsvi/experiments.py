@@ -94,11 +94,11 @@ def _check_path(name, value):
 
 @dataclass
 class ExperimentConfig:
-    """Settings of one experiment run; seed and output directory are mandatory."""
+    """Settings of one experiment run; kind, seed and out_dir are required."""
 
-    kind: str
-    seed: int
-    out_dir: str
+    kind: str | None = None
+    seed: int | None = None
+    out_dir: str | None = None
     data: str | None = None
     n_samples: int | None = None
     n_holdout: int | None = None
@@ -107,6 +107,15 @@ class ExperimentConfig:
     tol: float = FitConfig.tol
 
     def __post_init__(self):
+        # One message per required setting, whether omitted or null.
+        for name, message in (
+            ("kind", "an experiment kind is required (--experiment)"),
+            ("seed", "a seed is required (--seed)"),
+            ("out_dir", "an output directory is required (--out)"),
+        ):
+            value = getattr(self, name)
+            if value is None or isinstance(value, str) and not value:
+                raise ConfigError(message)
         # A tuple test: the kind may be an unhashable value from a JSON config.
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(
@@ -114,10 +123,6 @@ class ExperimentConfig:
                 f"choose from {', '.join(EXPERIMENT_KINDS)}"
             )
         pipeline = _PIPELINES[self.kind]
-        if self.seed is None:
-            raise ConfigError("seed is mandatory")
-        if self.out_dir is None or self.out_dir == "":
-            raise ConfigError("out_dir is mandatory")
         _check_path("out_dir", self.out_dir)
         if os.path.exists(self.out_dir) and not os.path.isdir(self.out_dir):
             raise ConfigError(f"out_dir {self.out_dir} exists and is not a directory")
@@ -255,6 +260,11 @@ def _run_bivariate(config):
 def _blr_problem(config):
     if config.data is not None:
         x, y = load_csv_dataset(config.data, "regression")
+        if x.shape[1] != 1:
+            raise DataFormatError(
+                f"{config.data}: {config.kind} takes one input column and a "
+                f"target, found {x.shape[1] + 1} columns"
+            )
         x = x[:, 0]
     else:
         x, y = synth_regression_data(_BLR_N_DATA, config.seed, noise_sd=_BLR_NOISE_SD)
@@ -350,6 +360,11 @@ def _classification_splits(config, schema, n_classes):
         for train, test in _discover_splits(source):
             xtr, ytr = load_csv_dataset(train, schema, n_classes=n_classes)
             xte, yte = load_csv_dataset(test, schema, n_classes=n_classes)
+            if xte.shape[1] != xtr.shape[1]:
+                raise DataFormatError(
+                    f"{test}: {xte.shape[1]} input columns, but {train} "
+                    f"has {xtr.shape[1]}"
+                )
             out.append((xtr, ytr, xte, yte))
         return out
     x, y = load_csv_dataset(str(source), schema, n_classes=n_classes)
@@ -450,6 +465,14 @@ def _run_cauchy_ppca(config):
         # just the last pixel, so re-attach it.
         features, last = load_csv_dataset(config.data, "regression")
         clean = np.column_stack([features, last])
+        # ML PPCA needs more training images and more pixels than latents.
+        n, d = clean.shape
+        if n // 2 <= _LATENT_DIM or d <= _LATENT_DIM:
+            raise DataFormatError(
+                f"{config.data}: {config.kind} needs at least "
+                f"{2 * (_LATENT_DIM + 1)} images of at least {_LATENT_DIM + 1} "
+                f"pixels, found {n} images of {d} pixels"
+            )
     else:
         clean, _, _ = synth_image_data(_N_IMAGES, config.seed)
     corrupted = corrupt_pixels(clean, _CORRUPTION, config.seed + 1)

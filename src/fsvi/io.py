@@ -13,6 +13,7 @@ import tempfile
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     DataFormatError,
     InvalidLabelError,
     PosteriorIOError,
@@ -89,9 +90,10 @@ def _parse_optional_float(token, what):
 def load_posterior(path):
     """Read a posterior file; returns (posterior, hyperparameters, seed).
 
-    Rejects unknown versions, truncated or malformed files, and any
-    content violating the posterior invariants (wrong lengths, non-square
-    factor).
+    Rejects unknown versions, truncated or malformed files, a repeated
+    line other than `L`, and any content violating the posterior
+    invariants (wrong lengths, non-square factor, a non-finite entry, an
+    alpha or beta that is not finite and positive).
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -110,29 +112,30 @@ def load_posterior(path):
         )
 
     fields = {}
-    mu = None
     factor_rows = []
     for line in lines[1:]:
         key, _, rest = line.partition(" ")
-        if key == "mu":
-            mu = rest.split()
-        elif key == "L":
+        if key == "L":
             factor_rows.append(rest.split())
+        elif key in fields:
+            raise PosteriorIOError(f"{path}: repeated {key!r} line")
         else:
             fields[key] = rest.strip()
 
     for required in ("m", "seed", "alpha"):
         if required not in fields:
             raise PosteriorIOError(f"{path}: missing field {required!r}")
-    if mu is None:
+    if "mu" not in fields:
         raise PosteriorIOError(f"{path}: missing mu line")
     try:
         m = int(fields["m"])
         seed = None if fields["seed"] == "none" else int(fields["seed"])
-        mu = np.array([float(v) for v in mu])
+        mu = np.array([float(v) for v in fields["mu"].split()])
         factor = np.array([[float(v) for v in row] for row in factor_rows])
     except ValueError as exc:
         raise PosteriorIOError(f"{path}: malformed numeric field: {exc}") from exc
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(factor))):
+        raise PosteriorIOError(f"{path}: mu and L must be finite")
     if mu.size != m:
         raise PosteriorIOError(f"{path}: m declares {m} but mu has {mu.size} entries")
     if factor.shape != (m, m):
@@ -141,8 +144,11 @@ def load_posterior(path):
         )
     alpha = _parse_optional_float(fields["alpha"], "alpha")
     beta = _parse_optional_float(fields.get("beta", "none"), "beta")
-    post = VariationalPosterior(mu, factor)
-    return post, Hyperparameters(alpha=alpha, beta=beta), seed
+    try:
+        hyper = Hyperparameters(alpha=alpha, beta=beta)
+    except ConfigError as exc:
+        raise PosteriorIOError(f"{path}: {exc}") from exc
+    return VariationalPosterior(mu, factor), hyper, seed
 
 
 def _parse_cell(token, path, line_no):

@@ -107,18 +107,15 @@ class GaussianNoiseModel(TargetModel):
     base class the likelihood methods take it explicitly. Subclasses
     supply the regression function through `predict_outputs_batch` and its
     transposed-Jacobian product `vjp_batch`; the Gaussian algebra lives
-    here.
+    here. Subclasses pass their observed targets to `__init__`.
     """
 
-    @property
-    @abc.abstractmethod
-    def n_obs(self):
-        ...
+    def __init__(self, targets):
+        self.targets = np.asarray(targets, dtype=float)
 
     @property
-    @abc.abstractmethod
-    def targets(self):
-        ...
+    def n_obs(self):
+        return self.targets.size
 
     @abc.abstractmethod
     def predict_outputs_batch(self, w_batch):

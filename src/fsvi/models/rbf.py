@@ -84,24 +84,16 @@ class RbfRegressionModel(GaussianNoiseModel):
     def __init__(self, inputs, targets, design):
         self.design = design
         self._phi = design.matrix(inputs)
-        self._y = np.asarray(targets, dtype=float)
-        if self._y.ndim != 1 or self._y.size != self._phi.shape[0]:
+        super().__init__(targets)
+        if self.targets.ndim != 1 or self.targets.size != self._phi.shape[0]:
             raise DimensionError(
-                f"targets shape {self._y.shape} does not match "
+                f"targets shape {self.targets.shape} does not match "
                 f"{self._phi.shape[0]} inputs"
             )
 
     @property
     def dim(self):
         return self._phi.shape[1]
-
-    @property
-    def n_obs(self):
-        return self._y.size
-
-    @property
-    def targets(self):
-        return self._y
 
     @property
     def design_matrix(self):

@@ -32,9 +32,9 @@ class SpectrumDecayModel(GaussianNoiseModel):
         self._e = np.asarray(source_idx, dtype=int)
         self._r = np.asarray(distances, dtype=float)
         self._f = np.asarray(frequencies, dtype=float)
-        self._y = np.asarray(targets, dtype=float)
+        super().__init__(targets)
         n = self._e.size
-        if not (self._r.shape == self._f.shape == self._y.shape == (n,)):
+        if not (self._r.shape == self._f.shape == self.targets.shape == (n,)):
             raise DimensionError(
                 "source_idx, distances, frequencies, targets must share one length"
             )
@@ -54,14 +54,6 @@ class SpectrumDecayModel(GaussianNoiseModel):
     @property
     def dim(self):
         return self._n_sources + 3
-
-    @property
-    def n_obs(self):
-        return self._e.size
-
-    @property
-    def targets(self):
-        return self._y
 
     def _rolloff_batch(self, w, f):
         """Rolloff terms u = (f / exp(c))^2, shape (S, n)."""

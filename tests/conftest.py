@@ -61,19 +61,11 @@ class LineModel(GaussianNoiseModel):
     """One observation per parameter, f(w) = w; keeps residuals explicit."""
 
     def __init__(self, targets):
-        self._y = np.atleast_1d(np.asarray(targets, dtype=float))
+        super().__init__(np.atleast_1d(targets))
 
     @property
     def dim(self):
-        return self._y.size
-
-    @property
-    def n_obs(self):
-        return self._y.size
-
-    @property
-    def targets(self):
-        return self._y
+        return self.targets.size
 
     def predict_outputs_batch(self, w_batch):
         return np.asarray(w_batch, dtype=float)

@@ -13,6 +13,7 @@ import fsvi.exceptions as exceptions
 from fsvi import load_posterior, synth_image_data
 from fsvi.exceptions import FsviError, NumericalFailureError
 from fsvi.io import atomic_write_text
+from fsvi.models import one_hot, synth_classification_data, synth_regression_data
 
 
 def run_cli(argv, capsys):
@@ -89,6 +90,33 @@ def test_missing_out_is_a_config_error(capsys):
     code, _, err = run_cli(["--experiment", "blr", "--seed", "0"], capsys)
     assert code == 2
     assert "output directory is required" in err
+
+
+# Each required setting's config-file key and its one error line.
+_REQUIRED_ERRORS = {
+    "experiment": "error: an experiment kind is required (--experiment)\n",
+    "seed": "error: a seed is required (--seed)\n",
+    "out": "error: an output directory is required (--out)\n",
+}
+
+
+@pytest.mark.parametrize("how", ["omitted flag", "omitted key", "null value"])
+@pytest.mark.parametrize("key", sorted(_REQUIRED_ERRORS))
+def test_a_missing_required_setting_is_one_config_error(tmp_path, capsys, key, how):
+    out = tmp_path / "out"
+    values = {"experiment": "blr", "seed": 0, "out": str(out)}
+    if how == "null value":
+        values[key] = None
+    else:
+        del values[key]
+    if how == "omitted flag":
+        argv = [arg for k, v in values.items() for arg in ("--" + k, str(v))]
+    else:
+        argv = write_config(tmp_path / "run.json", values)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == _REQUIRED_ERRORS[key]
+    assert not out.exists(), "a pipeline ran"
 
 
 def test_invalid_sample_count_is_a_config_error(tmp_path, capsys):
@@ -174,10 +202,15 @@ def test_malformed_data_file_is_a_data_error(tmp_path, capsys):
     assert "non-numeric cell" in err
 
 
+def write_rows(path, rows):
+    """Write a numeric CSV, one line per row, every cell a float repr."""
+    text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+    atomic_write_text(str(path), text + "\n")
+    return path
+
+
 def image_args(tmp_path, images):
-    path = tmp_path / "images.csv"
-    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in images)
-    atomic_write_text(str(path), rows + "\n")
+    path = write_rows(tmp_path / "images.csv", images)
     return [
         "--experiment",
         "cauchy-ppca",
@@ -202,6 +235,29 @@ def test_zero_norm_clean_image_is_a_data_error(tmp_path, capsys):
     assert "zero norm" in lines[0]
 
 
+# ML PPCA with two latents needs three training images (half the file)
+# and three pixels.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_images, n_pixels", [(1, 10), (3, 10), (4, 10),
+                                                 (5, 10), (20, 2)])
+def test_too_few_images_or_pixels_is_a_data_error(tmp_path, capsys, n_images,
+                                                   n_pixels):
+    rng = np.random.default_rng(0)
+    images = 128.0 + 40.0 * rng.standard_normal((n_images, n_pixels))
+    code, _, err = run_cli(image_args(tmp_path, images), capsys)
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "images.csv" in lines[0]
+    assert f"found {n_images} images of {n_pixels} pixels" in lines[0]
+
+
+def test_smallest_image_file_runs(tmp_path, capsys):
+    images = 128.0 + 40.0 * np.random.default_rng(0).standard_normal((6, 3))
+    code, _, err = run_cli(image_args(tmp_path, images), capsys)
+    assert code == 0, err
+
+
 def test_singular_start_factor_is_a_numerical_error(tmp_path, capsys):
     # 160 training images with q=2 give M=320 latents; |det(0.1 I)| = 1e-320
     # is below the posterior's determinant floor.
@@ -211,6 +267,93 @@ def test_singular_start_factor_is_a_numerical_error(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert "singular" in lines[0]
+
+
+# ------------------------------------------------------------ --data runs
+
+
+def _regression_file(root):
+    x, y = synth_regression_data(40, 1)
+    return write_rows(root / "regression.csv", np.column_stack([x, y]))
+
+
+def _binary_file(root):
+    x, labels = synth_classification_data(2, 40, 1, separation=1.75, spread=0.5)
+    return write_rows(root / "binary.csv", np.column_stack([x, labels]))
+
+
+def _one_hot_splits(root):
+    for i in range(2):
+        x, labels = synth_classification_data(3, 30, i, separation=1.1, spread=0.25)
+        rows = np.column_stack([x, one_hot(labels, 3)])
+        write_rows(root / f"train-{i}.csv", rows[:15])
+        write_rows(root / f"test-{i}.csv", rows[15:])
+    return root
+
+
+_SPLIT_FILES = ["accuracies.csv", "metrics.csv", "posterior_split0.txt",
+                "trace_split0.csv"]
+
+
+@pytest.mark.parametrize(
+    "kind, make_data, written, n_splits",
+    [
+        ("blr", _regression_file, ["metrics.csv", "posterior_blr.txt",
+                                   "predictions.csv", "trace_blr.csv"], None),
+        ("logistic", _binary_file, _SPLIT_FILES, 1),
+        ("multiclass", _one_hot_splits, _SPLIT_FILES, 2),
+    ],
+)
+def test_data_run_writes_its_files_and_reruns_identically(
+        tmp_path, capsys, kind, make_data, written, n_splits):
+    data = make_data(tmp_path)
+    out = tmp_path / "out"
+    argv = ["--experiment", kind, "--data", str(data), "--seed", "0",
+            "--out", str(out), "--samples", "10", "--max-iter", "3"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert sorted(p.name for p in out.iterdir()) == written
+    first = {name: (out / name).read_bytes() for name in written}
+    if n_splits is not None:
+        rows = first["accuracies.csv"].decode().splitlines()
+        assert len(rows) == 1 + n_splits
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    for name, content in first.items():
+        assert (out / name).read_bytes() == content, f"{name} changed on rerun"
+
+
+def test_blr_rejects_a_second_input_column(tmp_path, capsys):
+    x, y = synth_regression_data(40, 1)
+    path = write_rows(tmp_path / "wide.csv", np.column_stack([x, x * x, y]))
+    code, _, err = run_cli(blr_args(tmp_path, ["--data", str(path)]), capsys)
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "wide.csv" in lines[0] and "found 3 columns" in lines[0]
+    assert not (tmp_path / "out").exists(), "a pipeline ran"
+
+
+@pytest.mark.parametrize("test_width", [1, 3])
+def test_split_test_file_of_another_width_is_a_data_error(tmp_path, capsys,
+                                                          test_width):
+    rng = np.random.default_rng(0)
+    labels = np.arange(10) % 2
+    write_rows(tmp_path / "train-0.csv",
+               np.column_stack([rng.standard_normal((10, 2)), labels]))
+    write_rows(tmp_path / "test-0.csv",
+               np.column_stack([rng.standard_normal((10, test_width)), labels]))
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["--experiment", "logistic", "--data", str(tmp_path), "--seed", "0",
+         "--out", str(out), "--max-iter", "1"],
+        capsys,
+    )
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "test-0.csv" in lines[0]
+    assert not out.exists(), "a pipeline ran"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

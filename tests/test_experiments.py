@@ -42,6 +42,14 @@ def test_config_requires_a_seed():
         ExperimentConfig(kind="blr", seed=None, out_dir="/tmp/x")
 
 
+@pytest.mark.parametrize("left_out", ["kind", "seed", "out_dir"])
+def test_config_with_a_required_setting_left_out_is_a_config_error(left_out):
+    kwargs = dict(kind="blr", seed=0, out_dir="/tmp/x")
+    del kwargs[left_out]
+    with pytest.raises(ConfigError, match="is required"):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_rejects_unknown_kind():
     with pytest.raises(ConfigError, match="unknown experiment kind"):
         ExperimentConfig(kind="mystery", seed=0, out_dir="/tmp/x")

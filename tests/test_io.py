@@ -176,6 +176,56 @@ def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
         load_posterior(str(path))
 
 
+_VALID_POSTERIOR_LINES = (
+    "gaussian-posterior 1", "m 2", "seed 3", "alpha 1", "beta 2",
+    "mu 0.5 -1", "L 1 0", "L 0.25 2",
+)
+
+
+def test_hand_written_valid_file_loads(tmp_path):
+    # The base every rejection case below edits one line of.
+    post, hyper, seed = load_posterior(
+        _write(tmp_path, "\n".join(_VALID_POSTERIOR_LINES) + "\n")
+    )
+    assert np.array_equal(post.mu, [0.5, -1.0])
+    assert np.array_equal(post.L, [[1.0, 0.0], [0.25, 2.0]])
+    assert (hyper.alpha, hyper.beta, seed) == (1.0, 2.0, 3)
+
+
+@pytest.mark.parametrize(
+    "index, line, match",
+    [
+        (5, "mu nan -1", "must be finite"),
+        (5, "mu 0.5 inf", "must be finite"),
+        (7, "L 0.25 nan", "must be finite"),
+        (6, "L -inf 0", "must be finite"),
+        (1, "m 2\nm 2", "repeated 'm' line"),
+        (2, "seed 3\nseed 4", "repeated 'seed' line"),
+        (3, "alpha 1\nalpha 2", "repeated 'alpha' line"),
+        (4, "beta 2\nbeta 2", "repeated 'beta' line"),
+        (5, "mu 0.5 -1\nmu 1 1", "repeated 'mu' line"),
+        (3, "alpha -1", "alpha must be positive"),
+        (3, "alpha inf", "alpha must be positive"),
+        (3, "alpha nan", "alpha must be positive"),
+        (4, "beta -1", "beta must be positive"),
+        (4, "beta inf", "beta must be positive"),
+        (4, "beta 0", "beta must be positive"),
+    ],
+)
+def test_load_rejects_what_save_never_writes(tmp_path, index, line, match):
+    lines = list(_VALID_POSTERIOR_LINES)
+    lines[index] = line
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(PosteriorIOError, match=match):
+        load_posterior(path)
+
+
+def test_file_without_a_beta_line_loads(tmp_path):
+    lines = [ln for ln in _VALID_POSTERIOR_LINES if not ln.startswith("beta")]
+    _, hyper, _ = load_posterior(_write(tmp_path, "\n".join(lines) + "\n"))
+    assert hyper.alpha == 1.0 and hyper.beta is None
+
+
 # ------------------------------------------------------------------- datasets
 
 
