@@ -10,6 +10,8 @@ flat priors. All constants are retained so values are comparable across
 posteriors and hyperparameters within a fit.
 """
 
+import math
+
 import numpy as np
 
 from .exceptions import (
@@ -78,7 +80,7 @@ def lower_bound_fs(model, post, hyper, samples):
     """
     noise, prior, _, logdet = _setup(model, post, hyper, samples)
     w = post.transform(samples.draws)
-    mean_ll = float(np.mean(model.log_lik_batch(w, *noise)))
+    mean_ll = float(np.add.reduce(model.log_lik_batch(w, *noise))) / samples.size
     return mean_ll + prior(post.second_moment(), logdet)
 
 
@@ -99,8 +101,8 @@ def _finish(values, prior_value, g):
     overflows.
     """
     if values is not None:
-        return float(np.mean(values)) + prior_value, g
-    return g if np.isfinite(prior_value) else np.full_like(g, np.nan)
+        return float(np.add.reduce(values)) / len(values) + prior_value, g
+    return g if math.isfinite(prior_value) else np.full_like(g, np.nan)
 
 
 def mu_objective(model, post, hyper, samples):
@@ -115,11 +117,11 @@ def mu_objective(model, post, hyper, samples):
     """
     noise, prior, alpha, logdet = _setup(model, post, hyper, samples)
     lz = post.apply_factor(samples.draws)
-    tr_llt = float(np.sum(post.L * post.L))
+    tr_llt = float(np.add.reduce(post.L * post.L, axis=None))
 
     def evaluate(mu, with_value):
         values, grads = _model_pass(model, mu + lz, noise, with_value)
-        g = np.mean(grads, axis=0)
+        g = np.add.reduce(grads, axis=0) / samples.size
         if alpha is not None:
             g = g - alpha * mu
         sq = float(mu @ mu) + tr_llt
@@ -168,7 +170,7 @@ def factor_objective(model, post, hyper, samples):
         g = grads.reshape(s, k, b).transpose(1, 2, 0) @ zk / s
         if alpha is not None:
             g = g - alpha * blocks
-        sq = mu_sq + float(np.sum(blocks * blocks))
+        sq = mu_sq + float(np.add.reduce(blocks * blocks, axis=None))
         g = g + np.linalg.inv(blocks).swapaxes(-1, -2)
         return _finish(values, prior(sq, logdet), g.reshape(x.shape))
 
@@ -210,7 +212,7 @@ def _residual_total(model, post, samples, what):
     if not isinstance(model, GaussianNoiseModel):
         raise DimensionError(f"{what} requires a Gaussian-noise model")
     _check_dims(model, post, samples)
-    return float(np.sum(model.residual_sq_batch(post.transform(samples.draws))))
+    return float(np.add.reduce(model.residual_sq_batch(post.transform(samples.draws))))
 
 
 def update_beta(model, post, samples):

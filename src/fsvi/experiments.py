@@ -39,6 +39,7 @@ from .models import (
     synth_regression_data,
     synth_spectrum_data,
 )
+from .models.rbf import _SYNTH_X_RANGE
 from .posterior import Hyperparameters
 
 # The gray range corrupt_pixels draws replacement values from.
@@ -258,6 +259,11 @@ def _run_bivariate(config):
 
 
 def _blr_problem(config):
+    """The RBF regression model and the (min, max) range its inputs come from.
+
+    Synthetic inputs come from the generator's interval; a data file's
+    from its own smallest and largest input.
+    """
     if config.data is not None:
         x, y = load_csv_dataset(config.data, "regression")
         if x.shape[1] != 1:
@@ -266,22 +272,24 @@ def _blr_problem(config):
                 f"target, found {x.shape[1] + 1} columns"
             )
         x = x[:, 0]
+        x_range = (float(x.min()), float(x.max()))
     else:
         x, y = synth_regression_data(_BLR_N_DATA, config.seed, noise_sd=_BLR_NOISE_SD)
+        x_range = _SYNTH_X_RANGE
     design = RbfDesign.from_inputs(x, _BLR_WIDTH, n_centres=_BLR_N_CENTRES)
-    return RbfRegressionModel(x, y, design)
+    return RbfRegressionModel(x, y, design), x_range
 
 
 def _run_blr(config):
     """RBF regression: compare the fit to the conjugate exact posterior."""
-    model = _blr_problem(config)
+    model, x_range = _blr_problem(config)
     report = fit(model, _fit_config(config), seed=config.seed)
     post, hyper = report.posterior, report.hyper
 
     exact = exact_blr_posterior(
         model.design_matrix, model.targets, hyper.alpha, hyper.beta
     )
-    grid = np.linspace(-6.0, 6.0, 200)
+    grid = np.linspace(*x_range, 200)
     phi_grid = model.design.matrix(grid)
     mean_fit = phi_grid @ post.mu
     mean_exact = phi_grid @ exact.mean
@@ -311,7 +319,7 @@ def _run_blr(config):
 
 def _run_blr_overfit(config):
     """Monitor the bound on held-out draws for a well-sized and a small S."""
-    model = _blr_problem(config)
+    model, _ = _blr_problem(config)
     metrics = {}
     for s in (config.n_samples, _OVERFIT_SMALL_SAMPLES):
         fc = _fit_config(config, n_samples=s, tol=0.0)

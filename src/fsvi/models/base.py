@@ -9,6 +9,7 @@ other likelihood method is derived from it here.
 """
 
 import abc
+import math
 
 import numpy as np
 
@@ -60,7 +61,10 @@ class TargetModel(abc.ABC):
         Override where the gradient alone is cheaper than the fused pass.
         """
         values, grads = self.log_lik_and_grad_batch(w_batch, *args)
-        return np.where(np.isfinite(values)[:, None], grads, np.nan)
+        finite = np.isfinite(values)
+        if finite.all():
+            return grads
+        return np.where(finite[:, None], grads, np.nan)
 
     # Per-point forms, each a batch of one; perfbench/kernels.py times them.
     def log_lik(self, w, *args):
@@ -93,7 +97,7 @@ class TargetModel(abc.ABC):
     def model_params_grad(self, w_batch):
         """The model_params gradient alone, NaN wherever the value is not finite."""
         value, grad = self.model_params_value_and_grad(w_batch)
-        return grad if np.isfinite(value) else np.full_like(grad, np.nan)
+        return grad if math.isfinite(value) else np.full_like(grad, np.nan)
 
     def predict_batch(self, w_batch, inputs):
         """Per-datum predictions at each row of w_batch (model specific)."""
@@ -134,7 +138,7 @@ class GaussianNoiseModel(TargetModel):
     def residual_sq_batch(self, w_batch):
         """Squared residual norm ||Y - f(X; w)||^2 for each row of w_batch."""
         r = self.targets - self.predict_outputs_batch(w_batch)
-        return np.sum(r * r, axis=1)
+        return np.add.reduce(r * r, axis=1)
 
     def _log_lik_of_sq(self, sq, beta):
         """Log-likelihood from squared residual norms sq."""
@@ -147,7 +151,7 @@ class GaussianNoiseModel(TargetModel):
         w = np.asarray(w_batch, dtype=float)
         outputs = self.predict_outputs_batch(w)
         r = self.targets - outputs
-        value = self._log_lik_of_sq(np.sum(r * r, axis=1), beta)
+        value = self._log_lik_of_sq(np.add.reduce(r * r, axis=1), beta)
         return value, beta * self.vjp_batch(w, r, outputs)
 
 

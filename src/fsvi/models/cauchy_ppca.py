@@ -7,7 +7,9 @@ offset, and noise scale are model parameters trained by gradient steps on
 the same bound (the scale in log-space to stay positive).
 """
 
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -17,18 +19,23 @@ from ..exceptions import ConfigError, DimensionError
 from .base import TargetModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class CauchyPpcaParams:
-    """Loading matrix (d, q), offset (d,), positive noise scale."""
+    """Loading matrix (d, q), offset (d,), positive noise scale.
+
+    Frozen: a model folds its parameters into its data when it is built,
+    so a field reassigned afterwards would leave that model stale.
+    `CauchyPpcaModel.with_model_params` builds a model for new parameters.
+    """
 
     loading: np.ndarray
     offset: np.ndarray
     scale: float
 
     def __post_init__(self):
-        self.loading = np.asarray(self.loading, dtype=float)
-        self.offset = np.asarray(self.offset, dtype=float)
-        self.scale = float(self.scale)
+        object.__setattr__(self, "loading", np.asarray(self.loading, dtype=float))
+        object.__setattr__(self, "offset", np.asarray(self.offset, dtype=float))
+        object.__setattr__(self, "scale", float(self.scale))
         if self.loading.ndim != 2:
             raise DimensionError(f"loading must be (d, q), got {self.loading.shape}")
         d, q = self.loading.shape
@@ -105,11 +112,34 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
+# Each thread's scratch slabs, kept between its passes. A slab of the
+# denoising size is large enough that freeing it returns it to the OS, so
+# a new one is faulted back in page by page on every pass. A thread holds
+# the most slabs any of its passes asked for, all of its latest pass's
+# shape. The worker's set is its own: it runs one pass's half at a time.
+_scratch = threading.local()
+
+
+def _thread_slabs(shape, n):
+    """n (N, d) scratch arrays of the calling thread; their contents are stale."""
+    slabs = getattr(_scratch, "slabs", [])
+    if slabs and slabs[0].shape != shape:
+        slabs = []
+    if len(slabs) < n:
+        slabs = slabs + [np.empty(shape) for _ in range(n - len(slabs))]
+        _scratch.slabs = slabs
+    return slabs[:n]
+
+
+def _run_in_slabs(run, lo, hi, slab, n_buffers):
+    run(lo, hi, *_thread_slabs(slab, n_buffers))
+
+
 def _over_draws(run, s, slab, n_buffers=2):
     """Run `run(lo, hi, *buffers)` over draws [0, s), in two fixed halves when it pays.
 
-    Each call of `run` gets its own `n_buffers` arrays of shape `slab`, all
-    allocated here on the calling thread. With two usable CPUs, two or more
+    Each call of `run` gets `n_buffers` arrays of shape `slab`, the scratch
+    slabs of the thread it runs on. With two usable CPUs, two or more
     draws and a slab of at least `_SPLIT_MIN_ENTRIES` entries, the caller
     runs draws [0, s // 2) while the worker thread runs [s // 2, s);
     otherwise the caller runs them all. The halves depend on s alone, never
@@ -118,17 +148,13 @@ def _over_draws(run, s, slab, n_buffers=2):
     whether the caller's half returns or raises; an error in either half
     reaches the caller.
     """
-    def buffers():
-        return [np.empty(slab) for _ in range(n_buffers)]
-
     if s < 2 or np.prod(slab) < _SPLIT_MIN_ENTRIES or _usable_cpus() < 2:
-        run(0, s, *buffers())
+        _run_in_slabs(run, 0, s, slab, n_buffers)
         return
     h = s // 2
-    mine, theirs = buffers(), buffers()
-    future = _draw_worker().submit(run, h, s, *theirs)
+    future = _draw_worker().submit(_run_in_slabs, run, h, s, slab, n_buffers)
     try:
-        run(0, h, *mine)
+        _run_in_slabs(run, 0, h, slab, n_buffers)
     finally:
         wait((future,))
     future.result()
@@ -139,6 +165,10 @@ class CauchyPpcaModel(TargetModel):
 
     The parameter vector is the row-major flattening of the (N, q) latent
     matrix. Model parameters are [vec(loading), offset, ln(scale)].
+
+    The offset and scale are folded into the data when the model is built,
+    so a draw's scaled residual takes one product and one difference;
+    `with_model_params` builds a new model, which folds the new values.
     """
 
     def __init__(self, data, params):
@@ -151,6 +181,10 @@ class CauchyPpcaModel(TargetModel):
                 f"{params.loading.shape[0]}"
             )
         self.params = params
+        gamma = params.scale
+        self._centred = (self._y - params.offset) / gamma
+        self._loading_t = params.loading.T / gamma
+        self._const = -self._y.size * (np.log(np.pi) + np.log(gamma))
 
     @property
     def n_data(self):
@@ -178,17 +212,15 @@ class CauchyPpcaModel(TargetModel):
         return w.reshape(w.shape[0], self.n_data, self.latent_dim)
 
     def _draw_stats(self, x_s, u, denom):
-        """Fill u = (y - x_s W^T - xi) / gamma and denom = 1 + u^2 for latents x_s.
+        """Fill u = (y - xi) / gamma - x_s (W^T / gamma) and denom = 1 + u^2.
 
         u and denom are (N, d) buffers owned by the caller: each pass takes
-        them from `_over_draws`, which allocates them on the calling thread,
-        and reuses them across its draws, so one draw's consumer may
-        overwrite them but must copy anything it keeps.
+        them from `_over_draws`, which hands out the scratch slabs of the
+        thread the draws run on, and reuses them across its draws, so one
+        draw's consumer may overwrite them but must copy anything it keeps.
         """
-        np.matmul(x_s, self.params.loading.T, out=u)
-        np.subtract(self._y, u, out=u)
-        u -= self.params.offset
-        u /= self.params.scale
+        np.matmul(x_s, self._loading_t, out=u)
+        np.subtract(self._centred, u, out=u)
         np.multiply(u, u, out=denom)
         denom += 1.0
 
@@ -201,10 +233,9 @@ class CauchyPpcaModel(TargetModel):
         exactly where the entry is and the logs cannot overflow their sum:
         the finiteness test needs no log, and max propagates a NaN.
         """
-        const = -self._y.size * (np.log(np.pi) + np.log(self.params.scale))
         if with_value:
-            return const - np.sum(np.log(denom, out=denom))
-        return 0.0 if np.isfinite(const) and np.isfinite(denom.max()) else np.nan
+            return self._const - np.sum(np.log(denom, out=denom))
+        return 0.0 if np.isfinite(self._const) and np.isfinite(denom.max()) else np.nan
 
     def log_lik_batch(self, w_batch):
         x = self._latents(w_batch)
@@ -265,6 +296,7 @@ class CauchyPpcaModel(TargetModel):
         grad_w = np.zeros(self.params.loading.shape)
         grad_xi = np.zeros(self.params.offset.shape)
         grad_rho = 0.0
+        n_entries = float(self._y.size)
 
         def add(rho_i, w_i, xi_i):
             nonlocal grad_rho, grad_w, grad_xi
@@ -276,15 +308,14 @@ class CauchyPpcaModel(TargetModel):
         # own, in draw order, so the sums are the one-thread sums.
         later = []
 
-        def run(lo, hi, u, denom, q):
+        def run(lo, hi, u, denom, r):
             for i in range(lo, hi):
                 self._draw_stats(x[i], u, denom)
-                # d/d ln(gamma) = gamma * d/d gamma.
-                np.multiply(u, u, out=q)
-                q -= 1.0
-                q /= denom
-                t = np.divide(u, denom, out=u)
-                terms = (np.sum(q), t.T @ x[i], t.sum(axis=0))
+                np.divide(1.0, denom, out=r)
+                t = np.multiply(u, r, out=u)
+                # d/d ln(gamma) = gamma * d/d gamma = sum (u^2 - 1) / (1 + u^2),
+                # which is N d - 2 sum r for r = 1 / (1 + u^2).
+                terms = (n_entries - 2.0 * np.sum(r), t.T @ x[i], t.sum(axis=0))
                 values[i] = self._value(denom, with_value)
                 if lo:
                     later.append(terms)
@@ -300,7 +331,7 @@ class CauchyPpcaModel(TargetModel):
         grad = np.concatenate([grad_w.ravel(), grad_xi, [grad_rho / s]])
         if with_value:
             return value, grad
-        return grad if np.isfinite(value) else np.full_like(grad, np.nan)
+        return grad if math.isfinite(value) else np.full_like(grad, np.nan)
 
     def model_params_value_and_grad(self, w_batch):
         return self._model_params_pass(w_batch, True)

@@ -12,6 +12,7 @@ A run ends in one of four ways: the gradient norm falls below `grad_tol`
 fixed point, where every further iteration would repeat the last one.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
 
     f0, g0 = fun(x) if start is None else start
     n_evals = 1
-    if not np.isfinite(f0) or not np.all(np.isfinite(g0)):
+    if not math.isfinite(f0) or not np.all(np.isfinite(g0)):
         raise InvalidStartError("objective or gradient non-finite at start")
 
     # Minimisation variables: E = -f, r = -E'(x) = gradient of f.
@@ -99,7 +100,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
     delta = 0.0
     probe = _SIGMA0
     k = 0
-    converged = float(np.linalg.norm(r)) < grad_tol
+    converged = math.sqrt(float(r @ r)) < grad_tol
     # The loop state an iteration started in, kept only when that
     # iteration's accepted step left x unchanged.
     stalled = None
@@ -119,7 +120,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
             p_sq = float(p @ p)
             if p_sq < 1e-300 or mu <= 0.0:
                 break
-            sigma = probe / np.sqrt(p_sq)
+            sigma = probe / math.sqrt(p_sq)
             # A probe's value is read only for its finiteness, which a
             # gradient-only evaluation folds into its gradient.
             if grad is None:
@@ -127,7 +128,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
             else:
                 f_probe, g_probe = 0.0, grad(x + sigma * p)
             n_evals += 1
-            if not (np.isfinite(f_probe) and np.all(np.isfinite(g_probe))):
+            if not (math.isfinite(f_probe) and np.all(np.isfinite(g_probe))):
                 # No curvature estimate next to x: a rejected step. The
                 # retry probes along p again, ten times closer.
                 failures += 1
@@ -152,7 +153,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
         f_new, g_new = fun(x_new)
         n_evals += 1
 
-        if np.isfinite(f_new):
+        if math.isfinite(f_new):
             e_new = -float(f_new)
             comparison = 2.0 * delta_k * (e_now - e_new) / mu**2
         else:
@@ -174,14 +175,15 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
             lam_bar = 0.0
             success = True
             failures = 0
-            grad_norm = float(np.linalg.norm(r))
-            if grad_norm < grad_tol:
+            # numpy's 2-norm of a vector is sqrt(r @ r): the same bits.
+            rr = float(r @ r)
+            if math.sqrt(rr) < grad_tol:
                 converged = True
                 break
             if k % n == 0:
                 p = r.copy()
             else:
-                beta = float(r @ r - r @ r_old) / mu
+                beta = (rr - float(r @ r_old)) / mu
                 p = r + beta * p
             if comparison >= 0.75:
                 lam = max(0.25 * lam, _LAMBDA_MIN)
@@ -194,7 +196,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
 
         if comparison < 0.25:
             lam = lam + delta_k * (1.0 - comparison) / p_sq
-            if not np.isfinite(lam) or lam > _LAMBDA_MAX:
+            if not math.isfinite(lam) or lam > _LAMBDA_MAX:
                 lam = _LAMBDA_MAX
 
     return ScgResult(

@@ -323,6 +323,21 @@ def test_data_run_writes_its_files_and_reruns_identically(
         assert (out / name).read_bytes() == content, f"{name} changed on rerun"
 
 
+def test_blr_data_predictions_span_the_inputs(tmp_path, capsys):
+    # The prediction grid covers the file's inputs, not the synthetic
+    # data's [-6, 6], where these data have no point.
+    rng = np.random.default_rng(3)
+    x = np.concatenate([[10.0, 20.0], rng.uniform(10.0, 20.0, 38)])
+    y = np.sin(x) + 0.1 * rng.standard_normal(40)
+    path = write_rows(tmp_path / "shifted.csv", np.column_stack([x, y]))
+    code, _, err = run_cli(blr_args(tmp_path, ["--data", str(path)]), capsys)
+    assert code == 0, err
+    lines = (tmp_path / "out" / "predictions.csv").read_text().splitlines()
+    grid = [float(line.split(",")[0]) for line in lines[1:]]
+    assert len(grid) == 200
+    assert (min(grid), max(grid)) == (10.0, 20.0)
+
+
 def test_blr_rejects_a_second_input_column(tmp_path, capsys):
     x, y = synth_regression_data(40, 1)
     path = write_rows(tmp_path / "wide.csv", np.column_stack([x, x * x, y]))

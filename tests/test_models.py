@@ -1,5 +1,6 @@
 """Model likelihoods: hand-computed values, gradient contracts, generators."""
 
+import dataclasses
 import inspect
 import multiprocessing
 import os
@@ -390,6 +391,17 @@ def test_cauchy_model_params_gradient_only_form():
         assert np.all(np.isfinite(huge_scale.model_params_value_and_grad(w)[1]))
 
 
+def test_cauchy_params_are_frozen():
+    # A model folds its parameters into its data when it is built, so a
+    # reassigned field would leave it stale: reassigning raises instead.
+    params = CauchyPpcaParams(np.ones((3, 1)), np.zeros(3), 1.0)
+    for name, value in (("loading", np.zeros((3, 1))), ("offset", np.ones(3)),
+                        ("scale", 2.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, name, value)
+    assert params.scale == 1.0 and np.array_equal(params.offset, np.zeros(3))
+
+
 def test_cauchy_model_params_round_trip():
     rng = np.random.default_rng(12)
     params = CauchyPpcaParams(rng.standard_normal((4, 2)), rng.standard_normal(4), 0.6)
@@ -421,50 +433,68 @@ def _cauchy_passes(model):
 @pytest.mark.parametrize("s", [1, 3, 100])
 def test_cauchy_passes_match_per_draw_reference(s):
     # Each pass walks the draws one at a time through reused buffers; every
-    # row and the draw average must still be the per-draw likelihood's.
-    model, rng = _cauchy_case()
-    w = rng.standard_normal((s, model.dim))
-    refs = [
-        cauchy_ppca_loglik(row.reshape(model.n_data, -1), model.params, model.data)
-        for row in w
-    ]
-    ref_values = np.array([r[0] for r in refs])
-    ref_grads = np.array([r[1].ravel() for r in refs])
+    # row and the draw average must still be the per-draw likelihood's. A
+    # model from `with_model_params` folds its own offset and scale into
+    # the data, so its passes are the likelihood at the new parameters.
+    built, rng = _cauchy_case()
+    w = rng.standard_normal((s, built.dim))
+    theta = built.model_params
+    theta[:-1] += 0.3 * rng.standard_normal(theta.size - 1)
+    theta[-1] += 0.5
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
-    assert close(model.log_lik_batch(w), ref_values)
-    values, grads = model.log_lik_and_grad_batch(w)
-    assert close(values, ref_values)
-    assert rel_err(grads, ref_grads) < 1e-12
-
-    value, grad = model.model_params_value_and_grad(w)
-    d, q = model.params.loading.shape
-    ref_theta = np.concatenate(
-        [
-            np.mean([r[2] for r in refs], axis=0).ravel(),
-            np.mean([r[3] for r in refs], axis=0),
-            # d/d ln(gamma) = gamma * d/d gamma.
-            [model.params.scale * np.mean([r[4] for r in refs])],
+    for model in (built, built.with_model_params(theta)):
+        refs = [
+            cauchy_ppca_loglik(row.reshape(model.n_data, -1), model.params, model.data)
+            for row in w
         ]
-    )
-    assert close(np.array([value]), np.array([np.mean(ref_values)]))
-    for part in (slice(0, d * q), slice(d * q, d * q + d), slice(-1, None)):
-        assert rel_err(grad[part], ref_theta[part]) < 1e-12
+        ref_values = np.array([r[0] for r in refs])
+        ref_grads = np.array([r[1].ravel() for r in refs])
+
+        assert close(model.log_lik_batch(w), ref_values)
+        values, grads = model.log_lik_and_grad_batch(w)
+        assert close(values, ref_values)
+        assert rel_err(grads, ref_grads) < 1e-12
+
+        value, grad = model.model_params_value_and_grad(w)
+        d, q = model.params.loading.shape
+        ref_theta = np.concatenate(
+            [
+                np.mean([r[2] for r in refs], axis=0).ravel(),
+                np.mean([r[3] for r in refs], axis=0),
+                # d/d ln(gamma) = gamma * d/d gamma.
+                [model.params.scale * np.mean([r[4] for r in refs])],
+            ]
+        )
+        assert close(np.array([value]), np.array([np.mean(ref_values)]))
+        for part in (slice(0, d * q), slice(d * q, d * q + d), slice(-1, None)):
+            assert rel_err(grad[part], ref_theta[part]) < 1e-12
 
 
-def test_cauchy_passes_return_fresh_arrays():
-    # The per-draw buffers are reused inside a call; none may leak out.
-    model, rng = _cauchy_case()
-    w = rng.standard_normal((4, model.dim))
-    for name, pass_ in _cauchy_passes(model).items():
-        first, second = pass_(w), pass_(w)
-        a_parts = first if isinstance(first, tuple) else (first,)
-        b_parts = second if isinstance(second, tuple) else (second,)
-        for a, b in zip(a_parts, b_parts):
-            assert np.array_equal(a, b), name
-            assert not np.shares_memory(a, b), name
+def test_cauchy_passes_return_fresh_arrays(monkeypatch):
+    # The per-draw buffers are reused inside a call and kept by each thread
+    # between calls; none may leak out, so later passes on the same threads
+    # leave an earlier pass's outputs as they were. The small model runs on
+    # the calling thread, the large one splits its draws.
+    large, rng = _split_case(monkeypatch)
+    small, _ = _cauchy_case()
+    for model in (small, large):
+        w = rng.standard_normal((4, model.dim))
+        other = rng.standard_normal((4, model.dim))
+        passes = _cauchy_passes(model)
+        for name, pass_ in passes.items():
+            first = pass_(w)
+            kept = _bits(first)
+            second = pass_(w)
+            for later in passes.values():
+                later(other)
+            assert _bits(first) == kept == _bits(second), name
+            a_parts = first if isinstance(first, tuple) else (first,)
+            b_parts = second if isinstance(second, tuple) else (second,)
+            for a, b in zip(a_parts, b_parts):
+                assert not np.shares_memory(a, b), name
 
 
 def test_cauchy_pass_memory_is_one_draw_slab():
@@ -562,28 +592,32 @@ def test_cauchy_split_pass_survives_fork_and_errors(monkeypatch):
     model, rng = _split_case(monkeypatch)
     w = rng.standard_normal((20, model.dim))
     expected = _bits(model.log_lik_and_grad_batch(w))
+    expected_theta = _bits(model.model_params_value_and_grad(w))
     assert cauchy_ppca._worker[0] == os.getpid()
 
     # A forked child does not inherit the parent's worker thread: it makes
-    # its own and gives the parent's bits.
+    # its own and gives the parent's bits. Its calling thread starts from
+    # the scratch slabs the parent's passes left, and passes that use two
+    # and three of them give the parent's bits too.
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
 
     def child():
         out = _bits(model.log_lik_and_grad_batch(w))
-        sender.send((out, cauchy_ppca._worker[0] == os.getpid()))
+        out_theta = _bits(model.model_params_value_and_grad(w))
+        sender.send((out, out_theta, cauchy_ppca._worker[0] == os.getpid()))
 
     proc = ctx.Process(target=child)
     proc.start()
     try:
         assert receiver.poll(60), "the child's split pass did not finish"
-        out, own_worker = receiver.recv()
+        out, out_theta, own_worker = receiver.recv()
     finally:
         proc.join(60)
         if proc.is_alive():
             proc.kill()
     assert not proc.is_alive() and proc.exitcode == 0
-    assert own_worker and out == expected
+    assert own_worker and out == expected and out_theta == expected_theta
 
     with pytest.raises(ValueError):
         model.log_lik_and_grad_batch(w[:, :-1])
@@ -609,6 +643,35 @@ def test_cauchy_split_pass_survives_fork_and_errors(monkeypatch):
         other_half = "worker" if failing_half == "caller" else "caller"
         assert calls == {failing_half: 1, other_half: 10}
         assert _bits(model.log_lik_and_grad_batch(w)) == expected
+
+
+def test_cauchy_threads_keep_at_most_three_slabs_of_the_latest_shape(monkeypatch):
+    # Each thread keeps the scratch slabs of its passes: as many as one pass
+    # asked for, at most three, all of the shape of its latest pass. The
+    # worker keeps its own set, of the shape of the latest split pass.
+    big, rng = _split_case(monkeypatch)
+    small, _ = _cauchy_case()
+    held = {}
+
+    def shapes():
+        return [a.shape for a in getattr(cauchy_ppca._scratch, "slabs", [])]
+
+    def caller():
+        for model in (big, small):
+            w = rng.standard_normal((20, model.dim))
+            for pass_ in _cauchy_passes(model).values():
+                pass_(w)
+            worker = cauchy_ppca._draw_worker().submit(shapes).result()
+            held[model.data.shape] = shapes(), worker
+
+    thread = threading.Thread(target=caller)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    assert held == {
+        big.data.shape: ([big.data.shape] * 3, [big.data.shape] * 3),
+        small.data.shape: ([small.data.shape] * 3, [big.data.shape] * 3),
+    }
 
 
 def test_cauchy_split_passes_from_many_threads_keep_their_bits(monkeypatch):
