@@ -1,6 +1,9 @@
 """Variational inference with a full-covariance Gaussian posterior fitted
 on a fixed, finite set of latent draws, plus the baselines and experiment
-pipelines used to exercise it."""
+pipelines used to exercise it.
+
+Importing the package loads numpy only: scipy.linalg and scipy.special are
+imported by the functions and model constructors that call them."""
 
 from . import models
 from .baselines import (

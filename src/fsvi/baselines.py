@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import (
     ConfigError,
@@ -71,6 +70,8 @@ def exact_blr_posterior(design_matrix, targets, alpha, beta):
         )
     if not (alpha > 0.0 and beta > 0.0):
         raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
+    from scipy.linalg import cho_factor, cho_solve
+
     m = phi.shape[1]
     precision = alpha * np.eye(m) + beta * (phi.T @ phi)
     cho = cho_factor(precision, lower=True)
@@ -203,6 +204,8 @@ def ml_ppca_fit(data, latent_dim):
 
 def ml_ppca_loglik(data, fit_result):
     """Marginal Gaussian log-likelihood of data under an ML-PPCA solution."""
+    from scipy.linalg import cho_factor, cho_solve
+
     y = np.asarray(data, dtype=float)
     w = fit_result.loading
     cov = w @ w.T + fit_result.noise_variance * np.eye(y.shape[1])

@@ -63,7 +63,8 @@ def write_csv(path, header, rows):
 def save_posterior(post, hyper, path, seed=None):
     """Write a posterior and its hyperparameters as versioned structured text.
 
-    The factor is written as M dense rows, block-diagonal factors included.
+    The factor is written as M dense rows, block-diagonal factors included;
+    a block row formats only its block's entries between runs of "0".
     """
     lines = [f"{POSTERIOR_FORMAT} {POSTERIOR_VERSION}"]
     lines.append(f"m {post.dim}")
@@ -73,8 +74,13 @@ def save_posterior(post, hyper, path, seed=None):
     # Python floats from tolist(), one bound format call each.
     fmt = _FLOAT_FMT.format
     lines.append("mu " + " ".join(map(fmt, post.mu.tolist())))
-    for row in post.dense_factor().tolist():
-        lines.append("L " + " ".join(map(fmt, row)))
+    blocks = post.blocks
+    k, b, _ = blocks.shape
+    for j, block in enumerate(blocks.tolist()):
+        # The zeros of dense_factor(), which "{:.17g}" writes as "0".
+        left, right = "0 " * (j * b), " 0" * ((k - 1 - j) * b)
+        for row in block:
+            lines.append("L " + left + " ".join(map(fmt, row)) + right)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -234,7 +234,7 @@ class CauchyPpcaModel(TargetModel):
         the finiteness test needs no log, and max propagates a NaN.
         """
         if with_value:
-            return self._const - np.sum(np.log(denom, out=denom))
+            return self._const - np.add.reduce(np.log(denom, out=denom), axis=None)
         return 0.0 if np.isfinite(self._const) and np.isfinite(denom.max()) else np.nan
 
     def log_lik_batch(self, w_batch):
@@ -315,7 +315,11 @@ class CauchyPpcaModel(TargetModel):
                 t = np.multiply(u, r, out=u)
                 # d/d ln(gamma) = gamma * d/d gamma = sum (u^2 - 1) / (1 + u^2),
                 # which is N d - 2 sum r for r = 1 / (1 + u^2).
-                terms = (n_entries - 2.0 * np.sum(r), t.T @ x[i], t.sum(axis=0))
+                terms = (
+                    n_entries - 2.0 * np.add.reduce(r, axis=None),
+                    t.T @ x[i],
+                    np.add.reduce(t, axis=0),
+                )
                 values[i] = self._value(denom, with_value)
                 if lo:
                     later.append(terms)

@@ -1,7 +1,6 @@
 """Logistic and softmax classification likelihoods on shared feature maps."""
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
 
 from ..exceptions import ConfigError, DimensionError, InvalidLabelError
 from .base import TargetModel
@@ -13,6 +12,8 @@ def logistic_loglik(w, design_matrix, labels):
     Uses y t - log(1 + e^t) with t = phi^T w, so the value stays finite
     for activations as large as several hundred in magnitude.
     """
+    from scipy.special import expit
+
     phi = np.asarray(design_matrix, dtype=float)
     y = np.asarray(labels, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -28,6 +29,8 @@ def softmax_loglik(w_stacked, design_matrix, onehot):
     w_stacked concatenates one weight vector per class; the gradient is
     returned in the same stacked layout.
     """
+    from scipy.special import logsumexp, softmax
+
     phi = np.asarray(design_matrix, dtype=float)
     y = np.asarray(onehot, dtype=float)
     k = y.shape[1]
@@ -72,6 +75,10 @@ class LogisticModel(TargetModel):
             raise DimensionError(
                 f"{self._y.size} labels for {self._phi.shape[0]} inputs"
             )
+        # Bound here, so scipy.special loads only with a model that calls it.
+        from scipy.special import expit
+
+        self._expit = expit
 
     @property
     def dim(self):
@@ -85,11 +92,12 @@ class LogisticModel(TargetModel):
 
     def log_lik_and_grad_batch(self, w_batch):
         t = np.asarray(w_batch, dtype=float) @ self._phi.T
-        return self._values(t), (self._y - expit(t)) @ self._phi
+        return self._values(t), (self._y - self._expit(t)) @ self._phi
 
     def predict_batch(self, w_batch, inputs):
         """Class probabilities, shape (S, n, 2); column 1 is P(label = 1)."""
-        p = expit(self.design.matrix(inputs) @ np.asarray(w_batch, dtype=float).T).T
+        t = self.design.matrix(inputs) @ np.asarray(w_batch, dtype=float).T
+        p = self._expit(t).T
         return np.stack([1.0 - p, p], axis=2)
 
 

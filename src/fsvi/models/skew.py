@@ -6,7 +6,6 @@ entropy: direct density fitting.
 """
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from ..exceptions import DimensionError
 from .base import TargetModel, _LN_2PI
@@ -70,6 +69,8 @@ def skew_logdensity(w, coeff):
         raise DimensionError(f"w must have shape (2,), got {w.shape}")
     if a.shape != (6,):
         raise DimensionError(f"coeff must have shape (6,), got {a.shape}")
+    from scipy.special import log_ndtr
+
     h, dh = _h_and_grad(w, a)
     log_cdf = log_ndtr(h)
     value = np.log(2.0) - _LN_2PI - 0.5 * float(w @ w) + float(log_cdf)
@@ -87,6 +88,10 @@ class SkewTarget(TargetModel):
         if coeff.shape != (6,):
             raise DimensionError(f"coeff must have shape (6,), got {coeff.shape}")
         self.coeff = coeff
+        # Bound here, so scipy.special loads only with a model that calls it.
+        from scipy.special import log_ndtr
+
+        self._log_ndtr = log_ndtr
 
     @property
     def dim(self):
@@ -94,12 +99,12 @@ class SkewTarget(TargetModel):
 
     def log_lik_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
-        return _log_density(w, log_ndtr(_h(_terms(w), self.coeff)))
+        return _log_density(w, self._log_ndtr(_h(_terms(w), self.coeff)))
 
     def log_lik_and_grad_batch(self, w_batch):
         w = np.asarray(w_batch, dtype=float)
         h, dh = _h_and_grad(w, self.coeff)
-        log_cdf = log_ndtr(h)
+        log_cdf = self._log_ndtr(h)
         grad = -w + _phi_over_cumnorm(h, log_cdf)[..., None] * dh
         return _log_density(w, log_cdf), grad
 

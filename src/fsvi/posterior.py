@@ -5,7 +5,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .exceptions import ConfigError, DimensionError, InvalidPosteriorError
 
@@ -71,8 +70,14 @@ class VariationalPosterior:
         return self.L[None] if self.L.ndim == 2 else self.L
 
     def dense_factor(self):
-        """The factor as one (M, M) matrix."""
-        return self.L if self.L.ndim == 2 else block_diag(*self.L)
+        """The factor as one (M, M) matrix; a block stack is copied onto zeros."""
+        if self.L.ndim == 2:
+            return self.L
+        k, b, _ = self.L.shape
+        dense = np.zeros((k * b, k * b))
+        for j, block in enumerate(self.L):
+            dense[j * b : (j + 1) * b, j * b : (j + 1) * b] = block
+        return dense
 
     @functools.cached_property
     def factor_slogdet(self):

@@ -372,6 +372,19 @@ def test_full_factor_is_one_block():
     assert abs(stacked.log_abs_det_factor() - 2.0 * np.log(3.0)) < 1e-15
 
 
+def test_dense_factor_of_a_block_stack_is_block_diag_bit_for_bit():
+    from scipy.linalg import block_diag
+
+    blocks = np.random.default_rng(3).standard_normal((4, 3, 3))
+    blocks[0, 0, 1] = -0.0
+    blocks[2, 1, 0] = 0.0
+    blocks[3, 2, 1] = -0.0
+    dense = VariationalPosterior(np.zeros(12), blocks).dense_factor()
+    expected = block_diag(*blocks)
+    assert dense.dtype == expected.dtype and dense.shape == expected.shape
+    assert dense.tobytes() == expected.tobytes()
+
+
 def test_fused_bound_matches_public_bound_bitwise(model_zoo):
     # The fit optimises the block objectives; they must be the public bound.
     rng = np.random.default_rng(19)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +58,49 @@ def test_successful_run_prints_metrics(tmp_path, capsys):
     assert seed == 0
     assert hyper.alpha is not None and hyper.beta is not None
     assert post.dim == post.L.shape[0]
+
+
+_SCIPY_LOADS = """
+import json, sys
+import fsvi, fsvi.cli
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+
+seen = {"import": loaded()}
+kind, iters, out = sys.argv[1:]
+code = fsvi.cli.main(["--experiment", kind, "--seed", "0", "--out", out,
+                      "--max-iter", iters])
+seen["run"] = loaded() if code == 0 else f"exit {code}"
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "kind, loads",
+    [
+        ("bivariate", ["scipy.special"]),
+        ("blr", ["scipy.linalg"]),
+        ("blr-overfit", []),
+        ("logistic", ["scipy.special"]),
+        ("multiclass", []),
+        ("cauchy-ppca", []),
+    ],
+)
+def test_scipy_loads_only_with_the_pipelines_that_call_it(tmp_path, kind, loads):
+    # A fresh process: this one has loaded scipy for other tests.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    # blr-overfit's monitor needs at least ten iterations.
+    iters = "10" if kind == "blr-overfit" else "1"
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS, kind, iters, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen == {"import": [], "run": loads}
 
 
 def test_rerun_writes_identical_artifacts(tmp_path, capsys):

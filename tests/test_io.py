@@ -60,6 +60,29 @@ def test_block_posterior_is_written_densely(tmp_path):
     assert np.array_equal(loaded.covariance(), post.covariance())
 
 
+def test_block_posterior_rows_are_the_dense_formatting(tmp_path):
+    rng = np.random.default_rng(8)
+    blocks = rng.standard_normal((4, 2, 2)) + np.eye(2)
+    blocks[0, 0, 1] = -0.0
+    blocks[1, 1, 0] = 0.0
+    blocks[3, 0, 1] = -0.0
+    post = VariationalPosterior(rng.standard_normal(8), blocks)
+    dense = post.dense_factor()
+    hyper = Hyperparameters(alpha=2.0)
+    path, dense_path = str(tmp_path / "post.txt"), str(tmp_path / "dense.txt")
+    save_posterior(post, hyper, path, seed=3)
+    save_posterior(VariationalPosterior(post.mu, dense), hyper, dense_path, seed=3)
+    text = open(path, "rb").read()
+    assert text == open(dense_path, "rb").read()
+    rows = [line for line in text.decode().splitlines() if line.startswith("L ")]
+    assert rows == [
+        "L " + " ".join("{:.17g}".format(v) for v in row) for row in dense.tolist()
+    ]
+    assert "-0" in rows[0].split() and "-0" in rows[6].split()
+    loaded, _, _ = load_posterior(path)
+    assert loaded.L.tobytes() == dense.tobytes()
+
+
 def test_posterior_none_fields_round_trip(tmp_path):
     path = str(tmp_path / "post.txt")
     post = random_posterior(0, m=2)
