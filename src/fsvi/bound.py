@@ -48,7 +48,8 @@ def _prior_term(prior, alpha, m):
         return lambda sq, logdet: const + logdet
     if alpha is None or alpha <= 0.0:
         raise ConfigError(f"alpha must be positive, got {alpha}")
-    m_log_alpha = m * np.log(alpha)
+    # A Python float: numpy scalar arithmetic costs more per evaluation.
+    m_log_alpha = float(m * np.log(alpha))
     return lambda sq, logdet: -0.5 * (alpha * sq - m - m_log_alpha - 2.0 * logdet)
 
 

@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from ._parallel import map_fits
 from .baselines import exact_blr_posterior, laplace_approximation, ml_ppca_fit
 from .evaluate import (
     Grid2D,
@@ -230,14 +231,17 @@ def _run_bivariate(config):
     grid = Grid2D.build()
     # Each density is evaluated on the grid once, then scored both ways.
     pts = grid.points
+    targets = [SkewTarget(coeff) for coeff in BIVARIATE_COEFFS]
+    fc = _fit_config(config)
+
+    def fit_target(i):
+        seed = config.seed + i
+        return fit(targets[i], fc, seed=seed), laplace_approximation(targets[i], seed=seed)
+
     table_rows = []
     metrics = {}
-    for i, coeff in enumerate(BIVARIATE_COEFFS):
-        target = SkewTarget(coeff)
-        report = fit(target, _fit_config(config), seed=config.seed + i)
-        lap = laplace_approximation(target, seed=config.seed + i)
-
-        log_target = target.log_lik_batch(pts)
+    for i, (report, lap) in enumerate(map_fits(fit_target, range(len(targets)))):
+        log_target = targets[i].log_lik_batch(pts)
         fits = {
             "proposed": gaussian_logdensity_fn(
                 report.posterior.mu, report.posterior.covariance()
@@ -320,10 +324,13 @@ def _run_blr(config):
 def _run_blr_overfit(config):
     """Monitor the bound on held-out draws for a well-sized and a small S."""
     model, _ = _blr_problem(config)
+    budgets = (config.n_samples, _OVERFIT_SMALL_SAMPLES)
+
+    def fit_budget(s):
+        return fit(model, _fit_config(config, n_samples=s, tol=0.0), seed=config.seed)
+
     metrics = {}
-    for s in (config.n_samples, _OVERFIT_SMALL_SAMPLES):
-        fc = _fit_config(config, n_samples=s, tol=0.0)
-        report = fit(model, fc, seed=config.seed)
+    for s, report in zip(budgets, map_fits(fit_budget, budgets)):
         verdict = monitor_generalisation(report.trace)
         _save_fit(config, report, f"trace_s{s}.csv")
         metrics[f"verdict_s{s}"] = verdict
@@ -565,9 +572,9 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
     if not noise_sd > 0.0:
         raise ConfigError(f"noise_sd must be positive, got {noise_sd}")
     beta = 1.0 / noise_sd ** 2
-    mse_fit = []
-    mse_lap = []
-    for i in range(n_splits):
+
+    def fit_split(i):
+        """The split's model, test inputs and targets, fit and Laplace baseline."""
         inputs, targets, _ = synth_spectrum_data(
             n_train + n_test, seed + i, noise_sd=noise_sd
         )
@@ -585,8 +592,13 @@ def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,
         lap = laplace_approximation(
             model, Hyperparameters(None, beta), seed=seed + i
         )
+        return model, xte, yte, last.posterior, lap
+
+    mse_fit = []
+    mse_lap = []
+    for i, (model, xte, yte, post, lap) in enumerate(map_fits(fit_split, range(n_splits))):
         rng = np.random.default_rng(seed + i)
-        mse_fit.append(_mean_draw_mse(last.posterior, model, xte, yte, rng))
+        mse_fit.append(_mean_draw_mse(post, model, xte, yte, rng))
         mse_lap.append(_mean_draw_mse(lap, model, xte, yte, rng))
     return {
         "mse_fit": np.asarray(mse_fit),

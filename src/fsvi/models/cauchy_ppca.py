@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._parallel import _DRAW_THREAD_PREFIX, usable_cpus as _usable_cpus
 from ..exceptions import ConfigError, DimensionError
 from .base import TargetModel
 
@@ -101,15 +102,9 @@ def _draw_worker():
     global _worker
     pid, pool = _worker
     if pid != os.getpid():
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fsvi-draws")
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix=_DRAW_THREAD_PREFIX)
         _worker = (os.getpid(), pool)
     return pool
-
-
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # Each thread's scratch slabs, kept between its passes. A slab of the

@@ -85,7 +85,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
 
     f0, g0 = fun(x) if start is None else start
     n_evals = 1
-    if not math.isfinite(f0) or not np.all(np.isfinite(g0)):
+    if not math.isfinite(f0) or not np.isfinite(g0).all():
         raise InvalidStartError("objective or gradient non-finite at start")
 
     # Minimisation variables: E = -f, r = -E'(x) = gradient of f.
@@ -128,7 +128,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
             else:
                 f_probe, g_probe = 0.0, grad(x + sigma * p)
             n_evals += 1
-            if not (math.isfinite(f_probe) and np.all(np.isfinite(g_probe))):
+            if not (math.isfinite(f_probe) and np.isfinite(g_probe).all()):
                 # No curvature estimate next to x: a rejected step. The
                 # retry probes along p again, ten times closer.
                 failures += 1
@@ -169,7 +169,7 @@ def scg_maximise(fun, x0, max_iters=500, grad_tol=1e-8, *, grad=None, start=None
             e_now = e_new
             r_old = r
             r = np.asarray(g_new, dtype=float).copy()
-            if not np.all(np.isfinite(r)):
+            if not np.isfinite(r).all():
                 converged = False
                 break
             lam_bar = 0.0

@@ -376,14 +376,40 @@ def test_pipeline_files_do_not_depend_on_the_blas_thread_count(tmp_path, kind):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs os.sched_setaffinity")
-def test_cauchy_files_do_not_depend_on_the_usable_cpus(tmp_path):
-    # Pinned to one CPU, every Cauchy pass runs on the calling thread; the
-    # default run splits its denoising-size passes when two CPUs are usable.
+@pytest.mark.parametrize("kind", ["bivariate", "blr-overfit", "cauchy-ppca"])
+def test_pipeline_files_do_not_depend_on_the_usable_cpus(tmp_path, kind):
+    # Pinned to one CPU, a pipeline makes its fits one after another and
+    # every Cauchy pass runs on the calling thread. With two usable CPUs,
+    # independent fits (targets, draw budgets) run in a forked child, and
+    # denoising-size Cauchy passes split their draws.
     cpu = min(os.sched_getaffinity(0))
-    default = _cli_files("cauchy-ppca", tmp_path / "default", "1")
-    pinned = _cli_files("cauchy-ppca", tmp_path / "pinned", "1",
+    default = _cli_files(kind, tmp_path / "default", "1")
+    pinned = _cli_files(kind, tmp_path / "pinned", "1",
                         preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     assert default == pinned
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="map_fits forks on Linux only")
+def test_spectrum_benchmark_bits_do_not_depend_on_the_usable_cpus(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    results = []
+    for cpus in ({0}, {0, 1}):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            patch.setattr(os, "fork", counted)
+            result = spectrum_mse_benchmark(n_splits=3, seed=0, max_iter=3)
+        results.append([result[key].tobytes() if key.startswith("mse") else
+                        float(result[key]).hex() for key in sorted(result)])
+    # The second run's three splits went to the caller and one child.
+    assert len(forks) == 1
+    assert results[0] == results[1]
 
 
 def test_bivariate_scores_each_target_density_on_the_grid_once(tmp_path, monkeypatch):
