@@ -40,7 +40,6 @@ from .models import (
     synth_regression_data,
     synth_spectrum_data,
 )
-from .models.rbf import _SYNTH_X_RANGE
 from .posterior import Hyperparameters
 
 # The gray range corrupt_pixels draws replacement values from.
@@ -263,11 +262,7 @@ def _run_bivariate(config):
 
 
 def _blr_problem(config):
-    """The RBF regression model and the (min, max) range its inputs come from.
-
-    Synthetic inputs come from the generator's interval; a data file's
-    from its own smallest and largest input.
-    """
+    """The RBF regression model and its training inputs."""
     if config.data is not None:
         x, y = load_csv_dataset(config.data, "regression")
         if x.shape[1] != 1:
@@ -276,24 +271,22 @@ def _blr_problem(config):
                 f"target, found {x.shape[1] + 1} columns"
             )
         x = x[:, 0]
-        x_range = (float(x.min()), float(x.max()))
     else:
         x, y = synth_regression_data(_BLR_N_DATA, config.seed, noise_sd=_BLR_NOISE_SD)
-        x_range = _SYNTH_X_RANGE
     design = RbfDesign.from_inputs(x, _BLR_WIDTH, n_centres=_BLR_N_CENTRES)
-    return RbfRegressionModel(x, y, design), x_range
+    return RbfRegressionModel(x, y, design), x
 
 
 def _run_blr(config):
-    """RBF regression: compare the fit to the conjugate exact posterior."""
-    model, x_range = _blr_problem(config)
+    """RBF regression: the fit against the exact posterior, over the inputs' span."""
+    model, x = _blr_problem(config)
     report = fit(model, _fit_config(config), seed=config.seed)
     post, hyper = report.posterior, report.hyper
 
     exact = exact_blr_posterior(
         model.design_matrix, model.targets, hyper.alpha, hyper.beta
     )
-    grid = np.linspace(*x_range, 200)
+    grid = np.linspace(x.min(), x.max(), 200)
     phi_grid = model.design.matrix(grid)
     mean_fit = phi_grid @ post.mu
     mean_exact = phi_grid @ exact.mean
@@ -383,17 +376,20 @@ def _classification_splits(config, schema, n_classes):
             out.append((xtr, ytr, xte, yte))
         return out
     x, y = load_csv_dataset(str(source), schema, n_classes=n_classes)
-    perm = np.random.default_rng(config.seed).permutation(x.shape[0])
     half = x.shape[0] // 2
+    if half == 0:
+        raise DataFormatError(
+            f"{source}: {config.kind} splits the file into training and test "
+            f"halves, so it needs at least 2 data rows, found {x.shape[0]}"
+        )
+    perm = np.random.default_rng(config.seed).permutation(x.shape[0])
     tr, te = perm[:half], perm[half:]
     return [(x[tr], y[tr], x[te], y[te])]
 
 
-def _run_classification(config, schema, n_classes, make_model, synth_n_centres):
+def _run_classification(config, schema, n_classes, make_model, n_centres):
+    """Fit each split on n_centres evenly spaced centres from its training inputs."""
     splits = _classification_splits(config, schema, n_classes)
-    # User-supplied data keeps every training point as a centre; the
-    # synthetic tasks subsample so the stacked posterior stays small.
-    n_centres = synth_n_centres if config.data is None else None
     accuracies = []
     for i, (xtr, ytr, xte, yte) in enumerate(splits):
         design = RbfDesign.from_inputs(xtr, _CLASSIFY_WIDTH, n_centres=n_centres)
@@ -539,10 +535,10 @@ _PIPELINES = {
     "blr-overfit": _Pipeline(_run_blr_overfit, 100, 40),
     "logistic": _Pipeline(
         partial(_run_classification, schema="binary", n_classes=2,
-                make_model=LogisticModel, synth_n_centres=25), 200, 100),
+                make_model=LogisticModel, n_centres=25), 200, 100),
     "multiclass": _Pipeline(
         partial(_run_classification, schema="one-hot", n_classes=_MULTICLASS_K,
-                make_model=SoftmaxModel, synth_n_centres=20), 200, 80),
+                make_model=SoftmaxModel, n_centres=20), 200, 80),
     "cauchy-ppca": _Pipeline(_run_cauchy_ppca, 20, 40),
 }
 EXPERIMENT_KINDS = tuple(_PIPELINES)

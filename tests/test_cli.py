@@ -324,17 +324,18 @@ def _regression_file(root):
     return write_rows(root / "regression.csv", np.column_stack([x, y]))
 
 
-def _binary_file(root):
-    x, labels = synth_classification_data(2, 40, 1, separation=1.75, spread=0.5)
+def _binary_file(root, n_rows=40):
+    x, labels = synth_classification_data(2, n_rows, 1, separation=1.75, spread=0.5)
     return write_rows(root / "binary.csv", np.column_stack([x, labels]))
 
 
-def _one_hot_splits(root):
-    for i in range(2):
-        x, labels = synth_classification_data(3, 30, i, separation=1.1, spread=0.25)
+def _one_hot_splits(root, n_splits=2, n_train=15):
+    for i in range(n_splits):
+        x, labels = synth_classification_data(3, 2 * n_train, i, separation=1.1,
+                                              spread=0.25)
         rows = np.column_stack([x, one_hot(labels, 3)])
-        write_rows(root / f"train-{i}.csv", rows[:15])
-        write_rows(root / f"test-{i}.csv", rows[15:])
+        write_rows(root / f"train-{i}.csv", rows[:n_train])
+        write_rows(root / f"test-{i}.csv", rows[n_train:])
     return root
 
 
@@ -368,6 +369,68 @@ def test_data_run_writes_its_files_and_reruns_identically(
     assert code == 0, err
     for name, content in first.items():
         assert (out / name).read_bytes() == content, f"{name} changed on rerun"
+
+
+@pytest.mark.parametrize("kind, label", [("logistic", [1.0]),
+                                         ("multiclass", [0.0, 1.0, 0.0])])
+def test_one_row_classification_file_is_a_data_error(tmp_path, capsys, kind,
+                                                     label):
+    # The file is split into halves, and one row leaves nothing to train on.
+    path = write_rows(tmp_path / "one.csv", [[0.5, -0.5, *label]])
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["--experiment", kind, "--data", str(path), "--seed", "0",
+         "--out", str(out), "--max-iter", "1"],
+        capsys,
+    )
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert "one.csv" in lines[0] and "found 1" in lines[0]
+    assert not out.exists(), "a pipeline ran"
+
+
+# More training rows than RBF centres: the posterior keeps its size, so the
+# start factor stays clear of the singular floor.
+@pytest.mark.parametrize("kind, make_data", [
+    pytest.param("logistic", lambda root: _binary_file(root, n_rows=700),
+                 id="logistic-700-row-file"),
+    pytest.param("multiclass",
+                 lambda root: _one_hot_splits(root, n_splits=1, n_train=120),
+                 id="multiclass-120-row-split"),
+])
+def test_classification_data_with_many_training_rows_runs(tmp_path, capsys, kind,
+                                                          make_data):
+    argv = ["--experiment", kind, "--data", str(make_data(tmp_path)), "--seed", "0",
+            "--out", str(tmp_path / "out"), "--samples", "10", "--max-iter", "2"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+
+
+def _two_moons(n, seed, noise_sd=0.2):
+    """Two interleaved half circles with Gaussian noise, labels 0 and 1."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    t = rng.uniform(0.0, np.pi, n)
+    x = np.column_stack([np.cos(t), np.sin(t)])
+    x[labels == 1] = 1.0 - x[labels == 1] - [0.0, 0.5]
+    x += noise_sd * rng.standard_normal((n, 2))
+    return np.column_stack([x, labels])
+
+
+def test_a_banana_sized_split_starts_and_scores(tmp_path, capsys):
+    # The banana splits of Ratsch, Onoda & Mueller have 400 training points;
+    # two moons under noise sd 0.2 stand in for them.
+    rows = _two_moons(800, 0)
+    write_rows(tmp_path / "train-0.csv", rows[:400])
+    write_rows(tmp_path / "test-0.csv", rows[400:])
+    out = tmp_path / "out"
+    code, _, err = run_cli(["--experiment", "logistic", "--data", str(tmp_path),
+                            "--seed", "0", "--out", str(out)], capsys)
+    assert code == 0, err
+    metrics = dict(line.split(",") for line in
+                   (out / "metrics.csv").read_text().splitlines()[1:])
+    assert float(metrics["mean_accuracy"]) >= 0.93
 
 
 def test_blr_data_predictions_span_the_inputs(tmp_path, capsys):
