@@ -2,12 +2,11 @@
 on a fixed, finite set of latent draws, plus the baselines and experiment
 pipelines used to exercise it.
 
-Importing the package loads numpy only: scipy.linalg and scipy.special are
-imported by the functions and model constructors that call them."""
+Importing the package loads numpy only: scipy.special is imported by the
+functions and model constructors that call it."""
 
 from . import models
 from .baselines import (
-    GaussianPosteriorExact,
     MlPpcaFit,
     exact_blr_posterior,
     laplace_approximation,
@@ -93,7 +92,6 @@ __all__ = [
     "exact_blr_posterior",
     "laplace_approximation",
     "log_joint",
-    "GaussianPosteriorExact",
     "ml_ppca_fit",
     "ml_ppca_loglik",
     "MlPpcaFit",

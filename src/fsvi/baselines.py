@@ -23,44 +23,12 @@ _LAPLACE_MODE_ITERS = 500
 _FD_STEP = 1e-5
 
 
-@dataclass
-class GaussianPosteriorExact:
-    """A Gaussian with an explicit covariance (as opposed to a factor)."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        m = self.mean.size
-        if self.covariance.shape != (m, m):
-            raise DimensionError(
-                f"covariance shape {self.covariance.shape} for mean size {m}"
-            )
-        asym = np.max(np.abs(self.covariance - self.covariance.T))
-        scale = max(1.0, float(np.max(np.abs(self.covariance))))
-        if asym > 1e-12 * scale:
-            raise DimensionError(f"covariance is asymmetric by {asym}")
-        try:
-            self._density = GaussianTarget(self.mean, self.covariance)
-        except DimensionError as exc:
-            raise IndefiniteHessianError("covariance is not positive definite") from exc
-
-    def sample(self, n_draws, rng):
-        return rng.multivariate_normal(self.mean, self.covariance, size=n_draws)
-
-    def logpdf(self, points):
-        """Log-density at each row of points."""
-        return self._density.log_lik_batch(points)
-
-
 def exact_blr_posterior(design_matrix, targets, alpha, beta):
     """Closed-form posterior of conjugate Bayesian linear regression.
 
     covariance = (alpha I + beta Phi^T Phi)^{-1} and mean = beta *
-    covariance * Phi^T Y, both obtained through one Cholesky factorisation
-    rather than an explicit unfactorised inverse.
+    covariance * Phi^T Y, both formed from the inverse of the precision's
+    Cholesky factor rather than from an unfactorised inverse.
     """
     phi = np.asarray(design_matrix, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -70,14 +38,13 @@ def exact_blr_posterior(design_matrix, targets, alpha, beta):
         )
     if not (alpha > 0.0 and beta > 0.0):
         raise ConfigError(f"alpha and beta must be positive, got {alpha}, {beta}")
-    from scipy.linalg import cho_factor, cho_solve
-
     m = phi.shape[1]
     precision = alpha * np.eye(m) + beta * (phi.T @ phi)
-    cho = cho_factor(precision, lower=True)
-    mean = cho_solve(cho, beta * (phi.T @ y))
-    cov = cho_solve(cho, np.eye(m))
-    return GaussianPosteriorExact(mean=mean, covariance=0.5 * (cov + cov.T))
+    # precision = C C^T, so covariance = C^-T C^-1.
+    inv_factor = np.linalg.inv(np.linalg.cholesky(precision))
+    cov = inv_factor.T @ inv_factor
+    cov = 0.5 * (cov + cov.T)
+    return GaussianTarget(cov @ (beta * (phi.T @ y)), cov)
 
 
 def log_joint(model, w, hyper=None):
@@ -117,8 +84,8 @@ def laplace_approximation(model, hyper=None, start=None, seed=0):
     seed-derived starting points and keeps the best. The Hessian H comes
     from central finite differences of the analytic gradient with step
     `_FD_STEP` * (1 + |w_i|) per coordinate. A -H that is not positive
-    definite (any eigenvalue at or below a small floor) raises
-    IndefiniteHessianError carrying the eigenvalues.
+    definite (any eigenvalue at or below a small floor, or not finite)
+    raises IndefiniteHessianError carrying the eigenvalues.
     """
     rng = np.random.default_rng(seed)
     base = (
@@ -145,13 +112,14 @@ def laplace_approximation(model, hyper=None, start=None, seed=0):
 
     hess = _fd_hessian(lambda w: _log_joint_and_grad(model, w, hyper)[1], mode, _FD_STEP)
     eigvals, eigvecs = np.linalg.eigh(-hess)
-    if eigvals.min() <= _CURVATURE_FLOOR:
+    # Written so that a NaN eigenvalue (a non-finite Hessian) fails too.
+    if not eigvals.min() > _CURVATURE_FLOOR:
         raise IndefiniteHessianError(
             f"-H has eigenvalues down to {eigvals.min():.3e} at the mode",
             eigenvalues=eigvals,
         )
     cov = (eigvecs / eigvals) @ eigvecs.T
-    return GaussianPosteriorExact(mean=mode, covariance=0.5 * (cov + cov.T))
+    return GaussianTarget(mode, 0.5 * (cov + cov.T))
 
 
 @dataclass
@@ -203,15 +171,9 @@ def ml_ppca_fit(data, latent_dim):
 
 
 def ml_ppca_loglik(data, fit_result):
-    """Marginal Gaussian log-likelihood of data under an ML-PPCA solution."""
-    from scipy.linalg import cho_factor, cho_solve
-
+    """Marginal log-likelihood of data under an ML-PPCA solution: each row
+    is N(offset, W W^T + noise_variance I)."""
     y = np.asarray(data, dtype=float)
     w = fit_result.loading
     cov = w @ w.T + fit_result.noise_variance * np.eye(y.shape[1])
-    cho = cho_factor(cov, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    d = y - fit_result.offset
-    maha = float(np.sum(d * cho_solve(cho, d.T).T))
-    n, p = y.shape
-    return -0.5 * (n * p * _LN_2PI + n * logdet + maha)
+    return float(np.sum(GaussianTarget(fit_result.offset, cov).log_lik_batch(y)))

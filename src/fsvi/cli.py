@@ -56,7 +56,8 @@ def _build_parser():
 
 def _load_config_file(path):
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig: Windows editors may start the file with a byte-order mark.
+        with open(path, encoding="utf-8-sig") as handle:
             raw = json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc

@@ -24,7 +24,7 @@ from .evaluate import (
     reconstruction_error,
 )
 from .exceptions import ConfigError, DataFormatError
-from .fit import FitConfig, fit, fit_steps, monitor_generalisation
+from .fit import _MIN_MONITOR_ITERS, FitConfig, fit, fit_steps, monitor_generalisation
 from .io import load_csv_dataset, save_posterior, write_csv
 from .models import (
     CauchyPpcaModel,
@@ -142,13 +142,18 @@ class ExperimentConfig:
             self.n_samples = pipeline.n_samples
         if self.max_iter is None:
             self.max_iter = pipeline.max_iter
-        if (pipeline.runner is _run_blr_overfit
-                and self.n_samples == _OVERFIT_SMALL_SAMPLES):
-            raise ConfigError(
-                f"{self.kind} compares n_samples with its own budget of "
-                f"{_OVERFIT_SMALL_SAMPLES} draws, so n_samples must not be "
-                f"{_OVERFIT_SMALL_SAMPLES}"
-            )
+        if pipeline.runner is _run_blr_overfit:
+            if self.n_samples == _OVERFIT_SMALL_SAMPLES:
+                raise ConfigError(
+                    f"{self.kind} compares n_samples with its own budget of "
+                    f"{_OVERFIT_SMALL_SAMPLES} draws, so n_samples must not be "
+                    f"{_OVERFIT_SMALL_SAMPLES}"
+                )
+            if self.max_iter < _MIN_MONITOR_ITERS:
+                raise ConfigError(
+                    f"{self.kind}'s monitor needs max_iter >= "
+                    f"{_MIN_MONITOR_ITERS}, got {self.max_iter}"
+                )
         # FitConfig checks the ranges of the fit settings and owns the
         # held-out default.
         self.n_holdout = _fit_config(self).n_holdout
@@ -245,7 +250,7 @@ def _run_bivariate(config):
             "proposed": gaussian_logdensity_fn(
                 report.posterior.mu, report.posterior.covariance()
             )(pts),
-            "laplace": lap.logpdf(pts),
+            "laplace": lap.log_lik_batch(pts),
         }
         for method, log_q in fits.items():
             for direction in ("p-to-q", "q-to-p"):
@@ -293,7 +298,7 @@ def _run_blr(config):
     rmse = float(np.sqrt(np.mean((mean_fit - mean_exact) ** 2)))
     cov_fit = post.covariance()
     cov_gap = float(
-        np.linalg.norm(cov_fit - exact.covariance) / np.linalg.norm(exact.covariance)
+        np.linalg.norm(cov_fit - exact.cov) / np.linalg.norm(exact.cov)
     )
 
     metrics = {

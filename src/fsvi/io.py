@@ -172,13 +172,15 @@ def _parse_cell(token, path, line_no):
 
 
 def _read_utf8(path):
-    """A data file's text; bytes that are not UTF-8 raise DataFormatError."""
+    """A data file's text, without a leading byte-order mark; bytes that are
+    not UTF-8 raise DataFormatError."""
     with open(path, "rb") as handle:
         raw = handle.read()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line_no = raw.count(b"\n", 0, exc.start) + 1
+        # exc.start indexes exc.object, the bytes after any byte-order mark.
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(
             f"{path}:{line_no}: not UTF-8 text ({exc.reason})", line=line_no
         ) from exc

@@ -112,7 +112,8 @@ class SkewTarget(TargetModel):
 
 
 class GaussianTarget(TargetModel):
-    """Exact multivariate normal log-density as a flat-prior target."""
+    """Exact multivariate normal log-density as a flat-prior target; also the
+    type of the exact and Laplace baselines, which `sample` draws from."""
 
     prior = "flat"
 
@@ -124,6 +125,9 @@ class GaussianTarget(TargetModel):
             raise DimensionError(
                 f"covariance shape {self.cov.shape} does not match mean size {m}"
             )
+        asym = np.max(np.abs(self.cov - self.cov.T))
+        if asym > 1e-12 * max(1.0, float(np.max(np.abs(self.cov)))):
+            raise DimensionError(f"covariance is asymmetric by {asym}")
         eigvals, self._eigvecs = np.linalg.eigh(self.cov)
         if not eigvals.min() > 0.0:
             raise DimensionError("covariance must be positive definite")
@@ -133,6 +137,10 @@ class GaussianTarget(TargetModel):
     @property
     def dim(self):
         return self.mean.size
+
+    def sample(self, n_draws, rng):
+        """n_draws rows drawn from N(mean, cov) with the given Generator."""
+        return rng.multivariate_normal(self.mean, self.cov, size=n_draws)
 
     def _project(self, w_batch):
         """(eigenbasis coordinates of w - mean, log-density) at each row."""

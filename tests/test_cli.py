@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import fsvi.cli as cli
 import fsvi.exceptions as exceptions
-from fsvi import load_posterior, synth_image_data
+import fsvi.experiments as experiments
+from fsvi import ExperimentConfig, load_posterior, synth_image_data
 from fsvi.exceptions import FsviError, NumericalFailureError
 from fsvi.io import atomic_write_text
 from fsvi.models import one_hot, synth_classification_data, synth_regression_data
@@ -80,7 +81,7 @@ print(json.dumps(seen))
     "kind, loads",
     [
         ("bivariate", ["scipy.special"]),
-        ("blr", ["scipy.linalg"]),
+        ("blr", []),
         ("blr-overfit", []),
         ("logistic", ["scipy.special"]),
         ("multiclass", []),
@@ -195,6 +196,27 @@ def test_blr_overfit_needs_two_distinct_budgets(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), err
     assert "n_samples" in lines[0]
+    assert not out.exists(), "a pipeline ran"
+
+
+def test_blr_overfit_needs_the_monitors_iterations(tmp_path, capsys, monkeypatch):
+    # Rejected up front: the monitor would fail only after both fits.
+    with pytest.raises(exceptions.ConfigError, match="max_iter >= 10"):
+        ExperimentConfig(kind="blr-overfit", seed=0, out_dir=str(tmp_path), max_iter=9)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(experiments, "fit", no_fit)
+    out = tmp_path / "o"
+    code, _, err = run_cli(
+        ["--experiment", "blr-overfit", "--max-iter", "9", "--seed", "0",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "max_iter >= 10" in lines[0], err
     assert not out.exists(), "a pipeline ran"
 
 
@@ -556,6 +578,18 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     path.write_text(json.dumps(config))
     code, out, _ = run_cli(["--config", str(path)], capsys)
     assert code == 0
+    _, _, seed = load_posterior(str(tmp_path / "out" / "posterior_blr.txt"))
+    assert seed == 3
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # Windows editors save UTF-8 with a leading U+FEFF.
+    config = {"experiment": "blr", "seed": 3, "out": str(tmp_path / "out"),
+              "samples": 10, "max_iter": 5}
+    path = tmp_path / "run.json"
+    path.write_text("\ufeff" + json.dumps(config), encoding="utf-8")
+    code, _, err = run_cli(["--config", str(path)], capsys)
+    assert code == 0, err
     _, _, seed = load_posterior(str(tmp_path / "out" / "posterior_blr.txt"))
     assert seed == 3
 

@@ -160,7 +160,7 @@ def _small_blr(seed=0):
 def test_predictive_mean_approaches_mean_prediction():
     x, y, model = _small_blr()
     exact = exact_blr_posterior(model.design_matrix, y, 0.5, 25.0)
-    factor = np.linalg.cholesky(exact.covariance)
+    factor = np.linalg.cholesky(exact.cov)
     post = VariationalPosterior(exact.mean, factor)
     grid = np.linspace(-5.0, 5.0, 9)
     mean, var = predictive_mc(post, model, grid, n_draws=100_000, seed=0)

@@ -87,7 +87,7 @@ def test_conjugate_regression_matches_exact_posterior():
     exact = exact_blr_posterior(model.design_matrix, y, alpha, beta)
     gap = np.max(np.abs(report.posterior.mu - exact.mean))
     assert gap < 0.05, f"fitted mean deviates from the exact posterior by {gap}"
-    cov_gap = np.linalg.norm(report.posterior.covariance() - exact.covariance)
+    cov_gap = np.linalg.norm(report.posterior.covariance() - exact.cov)
     assert cov_gap < 0.05, f"covariance Frobenius gap {cov_gap}"
 
 

@@ -279,6 +279,40 @@ def test_one_hot_csv(tmp_path):
     assert np.array_equal(y, [[1, 0, 0], [0, 0, 1]])
 
 
+@pytest.mark.parametrize(
+    "schema, text, n_classes",
+    [
+        ("regression", "1.0,2.0,3.5\n4.0,5.0,-1.25\n", None),
+        ("binary", "0.5,1\n-0.5,0\n", None),
+        ("one-hot", "0.1,0.2,1,0,0\n0.3,0.4,0,0,1\n", 3),
+    ],
+    ids=["regression", "binary", "one-hot"],
+)
+def test_leading_byte_order_mark_is_skipped(tmp_path, schema, text, n_classes):
+    # Windows editors and Excel's "CSV UTF-8" start the file with U+FEFF.
+    plain = load_csv_dataset(_csv(tmp_path, text), schema, n_classes)
+    marked = load_csv_dataset(
+        _csv(tmp_path, "\ufeff" + text, name="bom.csv"), schema, n_classes
+    )
+    for a, b in zip(plain, marked):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_byte_order_mark_after_the_start_is_a_bad_cell(tmp_path):
+    path = _csv(tmp_path, "1.0,2.0\n\ufeff3.0,4.0\n")
+    with pytest.raises(DataFormatError, match=":2: non-numeric cell") as excinfo:
+        load_csv_dataset(path, "regression")
+    assert excinfo.value.line == 2
+
+
+def test_bytes_that_are_not_utf8_report_line_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n\xff3.0,4.0\n")
+    with pytest.raises(DataFormatError, match="not UTF-8") as excinfo:
+        load_csv_dataset(str(path), "regression")
+    assert excinfo.value.line == 2
+
+
 def test_blank_lines_are_ignored(tmp_path):
     path = _csv(tmp_path, "1.0,2.0\n\n3.0,4.0\n\n")
     x, y = load_csv_dataset(path, "regression")

@@ -763,6 +763,22 @@ def test_gaussian_target_matches_scipy():
         GaussianTarget(mean, [[1.0, 2.0], [2.0, 1.0]])
 
 
+def test_gaussian_target_rejects_malformed_covariance():
+    with pytest.raises(DimensionError, match="asymmetric"):
+        GaussianTarget(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(DimensionError, match="shape"):
+        GaussianTarget(np.zeros(2), np.eye(3))
+
+
+def test_gaussian_target_sample_is_the_generators_multivariate_normal():
+    # The spectrum benchmark scores Laplace through these draws, so they
+    # must be the very draws rng.multivariate_normal makes.
+    mean, cov = np.array([0.3, -0.2]), np.array([[1.0, 0.3], [0.3, 0.8]])
+    ref = np.random.default_rng(5).multivariate_normal(mean, cov, size=7)
+    draws = GaussianTarget(mean, cov).sample(7, np.random.default_rng(5))
+    assert draws.tobytes() == ref.tobytes()
+
+
 # -------------------------------------------------------------- design matrix
 
 
