@@ -12,7 +12,6 @@ from .baselines import (
     laplace_approximation,
     log_joint,
     ml_ppca_fit,
-    ml_ppca_loglik,
 )
 from .bound import (
     dbound_dalpha,
@@ -27,11 +26,8 @@ from .bound import (
 )
 from .evaluate import (
     Grid2D,
-    accuracy,
     gaussian_logdensity_fn,
     kld_numerical_2d,
-    mse,
-    predictive_mc,
     reconstruction_error,
 )
 from .exceptions import (
@@ -93,14 +89,10 @@ __all__ = [
     "laplace_approximation",
     "log_joint",
     "ml_ppca_fit",
-    "ml_ppca_loglik",
     "MlPpcaFit",
     "Grid2D",
     "gaussian_logdensity_fn",
     "kld_numerical_2d",
-    "predictive_mc",
-    "accuracy",
-    "mse",
     "reconstruction_error",
     "save_posterior",
     "load_posterior",

@@ -169,11 +169,3 @@ def ml_ppca_fit(data, latent_dim):
     loading = vt[:latent_dim].T * np.sqrt(gap)
     return MlPpcaFit(loading=loading, offset=offset, noise_variance=noise)
 
-
-def ml_ppca_loglik(data, fit_result):
-    """Marginal log-likelihood of data under an ML-PPCA solution: each row
-    is N(offset, W W^T + noise_variance I)."""
-    y = np.asarray(data, dtype=float)
-    w = fit_result.loading
-    cov = w @ w.T + fit_result.noise_variance * np.eye(y.shape[1])
-    return float(np.sum(GaussianTarget(fit_result.offset, cov).log_lik_batch(y)))

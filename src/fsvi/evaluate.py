@@ -1,4 +1,4 @@
-"""Numerical divergence on a plane grid, Monte-Carlo predictives, metrics."""
+"""Numerical divergence on a plane grid and the relative reconstruction error."""
 
 from dataclasses import dataclass
 
@@ -96,44 +96,6 @@ def kld_numerical_2d(log_p, log_q, grid, direction):
     lead = np.exp(lp)
     integrand = np.where(lead > 0.0, lead * (lp - lq), 0.0)
     return grid.integrate(integrand)
-
-
-def predictive_mc(post, model, inputs, n_draws=200, seed=0):
-    """Monte-Carlo predictive under parameter draws w ~ N(mu, L L^T).
-
-    Classification models (predictions of shape (n, K)) yield averaged
-    class probabilities. Regression models (predictions of shape (n,))
-    yield a (mean, variance) pair of arrays.
-    """
-    if n_draws < 1:
-        raise ConfigError(f"n_draws must be >= 1, got {n_draws}")
-    post.log_abs_det_factor()  # raises InvalidPosteriorError on singular L
-    rng = np.random.default_rng(seed)
-    draws = post.sample(n_draws, rng)
-    preds = model.predict_batch(draws, inputs)
-    if preds.ndim == 3:
-        return preds.mean(axis=0)
-    return preds.mean(axis=0), preds.var(axis=0)
-
-
-def accuracy(probabilities, labels):
-    """Fraction of argmax decisions (lowest index wins ties) matching labels."""
-    p = np.asarray(probabilities, dtype=float)
-    y = np.asarray(labels)
-    if p.ndim != 2 or p.shape[0] != y.size:
-        raise DimensionError(
-            f"probabilities {p.shape} and labels {y.shape} are inconsistent"
-        )
-    return float(np.mean(np.argmax(p, axis=1) == y.astype(int)))
-
-
-def mse(predictions, targets):
-    """Mean squared error between two equally long vectors."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if p.shape != t.shape:
-        raise DimensionError(f"shapes {p.shape} and {t.shape} differ")
-    return float(np.mean((p - t) ** 2))
 
 
 def reconstruction_error(original, reconstructed):

@@ -23,7 +23,7 @@ from .evaluate import (
     kld_numerical_2d,
     reconstruction_error,
 )
-from .exceptions import ConfigError, DataFormatError
+from .exceptions import ConfigError, DataFormatError, DimensionError
 from .fit import _MIN_MONITOR_ITERS, FitConfig, fit, fit_steps, monitor_generalisation
 from .io import load_csv_dataset, save_posterior, write_csv
 from .models import (
@@ -200,19 +200,36 @@ def _save_fit(config, report, trace_name, posterior_name=None, seed=None):
     )
 
 
+def _draw_predictions(post, model, inputs, targets, rng):
+    """(predictions under _SCORE_DRAWS posterior draws, targets as an array).
+
+    Each input needs one target (a label, or a one-hot row); any other
+    count raises DimensionError before a draw is taken.
+    """
+    y = np.asarray(targets)
+    if len(y) != len(inputs):
+        raise DimensionError(f"{len(y)} labels or targets for {len(inputs)} inputs")
+    return model.predict_batch(post.sample(_SCORE_DRAWS, rng), inputs), y
+
+
 def mc_accuracy(post, model, inputs, labels, seed=0):
     """Accuracy under each posterior parameter draw, averaged over draws.
 
     Labels are integers; a one-hot matrix is converted first. Ties between
-    class probabilities resolve to the lowest class index.
+    class probabilities resolve to the lowest class index. A label count
+    other than the input count raises DimensionError.
     """
-    y = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    probs, y = _draw_predictions(post, model, inputs, labels, rng)
     if y.ndim == 2:
         y = np.argmax(y, axis=1)
-    draws = post.sample(_SCORE_DRAWS, np.random.default_rng(seed))
-    probs = model.predict_batch(draws, inputs)
-    hits = np.argmax(probs, axis=2) == y[None, :]
-    return float(np.mean(hits))
+    return float(np.mean(np.argmax(probs, axis=2) == y[None, :]))
+
+
+def _mean_draw_mse(post, model, inputs, targets, rng):
+    """Test MSE under each posterior parameter draw, averaged over draws."""
+    preds, y = _draw_predictions(post, model, inputs, targets, rng)
+    return float(np.mean((preds - y[None, :]) ** 2))
 
 
 def run_experiment(config):
@@ -547,12 +564,6 @@ _PIPELINES = {
     "cauchy-ppca": _Pipeline(_run_cauchy_ppca, 20, 40),
 }
 EXPERIMENT_KINDS = tuple(_PIPELINES)
-
-
-def _mean_draw_mse(post, model, inputs, targets, rng):
-    draws = post.sample(_SCORE_DRAWS, rng)
-    preds = model.predict_batch(draws, inputs)
-    return float(np.mean((preds - np.asarray(targets)[None, :]) ** 2))
 
 
 def spectrum_mse_benchmark(n_splits=10, seed=0, n_train=100, n_test=100,

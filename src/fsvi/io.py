@@ -96,13 +96,14 @@ def _parse_optional_float(token, what):
 def load_posterior(path):
     """Read a posterior file; returns (posterior, hyperparameters, seed).
 
-    Rejects unknown versions, truncated or malformed files, a repeated
-    line other than `L`, and any content violating the posterior
-    invariants (wrong lengths, non-square factor, a non-finite entry, an
-    alpha or beta that is not finite and positive).
+    A leading UTF-8 byte-order mark is skipped, as in data files. Rejects
+    unknown versions, truncated or malformed files, a repeated line other
+    than `L`, and any content violating the posterior invariants (wrong
+    lengths, non-square factor, a non-finite entry, an alpha or beta that
+    is not finite and positive).
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = [line.strip() for line in handle if line.strip()]
     except UnicodeDecodeError as exc:
         raise PosteriorIOError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -50,40 +50,6 @@ class CauchyPpcaParams:
             raise ConfigError(f"scale must be positive, got {self.scale}")
 
 
-def cauchy_ppca_loglik(latents, params, data):
-    """Elementwise Cauchy log-likelihood of data given latents, with gradients.
-
-    value = sum_{n,j} [-ln pi - ln gamma - ln(1 + ((y_nj - W_j x_n - xi_j)/gamma)^2)]
-
-    Returns (value, grad_latents, grad_loading, grad_offset, grad_scale);
-    grad_scale is with respect to gamma itself, not its logarithm.
-    """
-    x = np.asarray(latents, dtype=float)
-    y = np.asarray(data, dtype=float)
-    w = params.loading
-    gamma = params.scale
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise DimensionError(
-            f"latents shape {x.shape} does not match loading {w.shape}"
-        )
-    if y.shape != (x.shape[0], w.shape[0]):
-        raise DimensionError(
-            f"data shape {y.shape}, expected ({x.shape[0]}, {w.shape[0]})"
-        )
-    r = y - x @ w.T - params.offset
-    u = r / gamma
-    denom = 1.0 + u * u
-    value = -y.size * (np.log(np.pi) + np.log(gamma)) - float(
-        np.sum(np.log(denom))
-    )
-    t = u / denom
-    grad_x = (2.0 / gamma) * (t @ w)
-    grad_w = (2.0 / gamma) * (t.T @ x)
-    grad_xi = (2.0 / gamma) * t.sum(axis=0)
-    grad_gamma = float(np.sum((u * u - 1.0) / denom)) / gamma
-    return value, grad_x, grad_w, grad_xi, grad_gamma
-
-
 # A pass splits its draws between two threads only when one draw's (N, d)
 # slab has at least this many entries; below it, handing half the draws to
 # the worker costs more than the worker saves. On a 2-core machine with one

@@ -6,41 +6,6 @@ from ..exceptions import ConfigError, DimensionError, InvalidLabelError
 from .base import TargetModel
 
 
-def logistic_loglik(w, design_matrix, labels):
-    """Bernoulli log-likelihood and gradient for binary labels in {0, 1}.
-
-    Uses y t - log(1 + e^t) with t = phi^T w, so the value stays finite
-    for activations as large as several hundred in magnitude.
-    """
-    from scipy.special import expit
-
-    phi = np.asarray(design_matrix, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    w = np.asarray(w, dtype=float)
-    t = phi @ w
-    value = float(y @ t - np.sum(np.logaddexp(0.0, t)))
-    grad = phi.T @ (y - expit(t))
-    return value, grad
-
-
-def softmax_loglik(w_stacked, design_matrix, onehot):
-    """Categorical log-likelihood and gradient under 1-of-K coding.
-
-    w_stacked concatenates one weight vector per class; the gradient is
-    returned in the same stacked layout.
-    """
-    from scipy.special import logsumexp, softmax
-
-    phi = np.asarray(design_matrix, dtype=float)
-    y = np.asarray(onehot, dtype=float)
-    k = y.shape[1]
-    w_mat = np.asarray(w_stacked, dtype=float).reshape(k, phi.shape[1])
-    logits = phi @ w_mat.T
-    value = float(np.sum(y * logits) - np.sum(logsumexp(logits, axis=1)))
-    grad = (y - softmax(logits, axis=1)).T @ phi
-    return value, grad.ravel()
-
-
 def _validate_binary(labels):
     y = np.asarray(labels)
     if y.ndim != 1:

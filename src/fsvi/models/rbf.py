@@ -3,7 +3,7 @@
 import numpy as np
 
 from ..exceptions import ConfigError, DimensionError
-from .base import GaussianNoiseModel, _LN_2PI
+from .base import GaussianNoiseModel
 
 # The input interval of the synthetic regression data.
 _SYNTH_X_RANGE = (-6.0, 6.0)
@@ -61,21 +61,6 @@ class RbfDesign:
         sq = np.sum((x[:, None, :] - self.centres[None, :, :]) ** 2, axis=2)
         phi = np.exp(-0.5 * sq / self.width**2)
         return np.hstack([phi, np.ones((x.shape[0], 1))])
-
-
-def rbf_regression_loglik(w, design_matrix, targets, beta):
-    """Gaussian log-likelihood of a linear-in-features regression and its gradient.
-
-    Returns (value, gradient) with all constants retained:
-    value = (N/2) ln(beta) - (N/2) ln(2 pi) - (beta/2) ||Y - Phi w||^2.
-    """
-    phi = np.asarray(design_matrix, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    w = np.asarray(w, dtype=float)
-    r = y - phi @ w
-    n = y.size
-    value = 0.5 * n * (np.log(beta) - _LN_2PI) - 0.5 * beta * float(r @ r)
-    return value, beta * (phi.T @ r)
 
 
 class RbfRegressionModel(GaussianNoiseModel):

@@ -58,28 +58,6 @@ def _log_density(w, log_cdf):
     return np.log(2.0) - _LN_2PI - 0.5 * np.add.reduce(w * w, axis=-1) + log_cdf
 
 
-def skew_logdensity(w, coeff):
-    """Log of 2 N(w | 0, I_2) Phi(h(w)) and its gradient at a single point.
-
-    h is odd, so the density integrates to one for any coefficient vector.
-    log Phi is evaluated through its dedicated stable routine and never
-    underflows to -inf for finite h.
-    """
-    w = np.asarray(w, dtype=float)
-    a = np.asarray(coeff, dtype=float)
-    if w.shape != (2,):
-        raise DimensionError(f"w must have shape (2,), got {w.shape}")
-    if a.shape != (6,):
-        raise DimensionError(f"coeff must have shape (6,), got {a.shape}")
-    from scipy.special import log_ndtr
-
-    h, dh = _h_and_grad(w, a)
-    log_cdf = log_ndtr(h)
-    value = np.log(2.0) - _LN_2PI - 0.5 * float(w @ w) + float(log_cdf)
-    grad = -w + _phi_over_cumnorm(h, log_cdf) * dh
-    return float(value), grad
-
-
 class SkewTarget(TargetModel):
     """Bivariate density 2 N(w | 0, I) Phi(h(w)) with an odd cubic h."""
 

@@ -1,4 +1,5 @@
-"""Numerical divergence, Monte-Carlo predictives, and scalar metrics."""
+"""Numerical divergence, Monte-Carlo predictions under posterior draws, and
+the scores the pipelines compute from them."""
 
 import numpy as np
 import pytest
@@ -6,29 +7,27 @@ import pytest
 from fsvi import (
     Grid2D,
     VariationalPosterior,
-    accuracy,
     exact_blr_posterior,
     gaussian_logdensity_fn,
     kld_numerical_2d,
-    mse,
-    predictive_mc,
+    mc_accuracy,
     reconstruction_error,
 )
 from fsvi.exceptions import (
     ConfigError,
     CoverageError,
     DimensionError,
-    InvalidPosteriorError,
 )
+from fsvi.experiments import _mean_draw_mse
 from fsvi.models import (
     LogisticModel,
     RbfDesign,
     RbfRegressionModel,
     SkewTarget,
-    skew_logdensity,
     synth_classification_data,
     synth_regression_data,
 )
+from references import skew_logdensity
 
 
 def closed_form_gaussian_kld(mean_p, cov_p, mean_q, cov_q):
@@ -87,7 +86,7 @@ def test_kld_stable_under_grid_refinement():
     coeff = np.array([-3.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
     def log_p(points):
-        return np.array([skew_logdensity(row, coeff)[0] for row in points])
+        return skew_logdensity(points, coeff)[0]
 
     log_q = gaussian_logdensity_fn(np.array([0.2, 0.1]), 1.2 * np.eye(2))
     coarse = _kld(log_p, log_q, grid=Grid2D.build(resolution=128))
@@ -163,7 +162,8 @@ def test_predictive_mean_approaches_mean_prediction():
     factor = np.linalg.cholesky(exact.cov)
     post = VariationalPosterior(exact.mean, factor)
     grid = np.linspace(-5.0, 5.0, 9)
-    mean, var = predictive_mc(post, model, grid, n_draws=100_000, seed=0)
+    preds = model.predict_batch(post.sample(100_000, np.random.default_rng(0)), grid)
+    mean, var = preds.mean(axis=0), preds.var(axis=0)
     # For a linear model the predictive mean is the prediction at mu; with
     # 1e5 draws the Monte-Carlo error is within three standard errors.
     centre = model.predict_batch(post.mu[None, :], grid)[0]
@@ -181,46 +181,36 @@ def test_predictive_classification_layout():
     post = VariationalPosterior(
         0.1 * np.ones(model.dim), 0.05 * np.eye(model.dim)
     )
-    probs = predictive_mc(post, model, x, n_draws=64, seed=1)
-    assert probs.shape == (30, 2)
-    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
-
-
-def test_predictive_rejects_singular_factor_without_plugin():
-    x, y, model = _small_blr(seed=3)
-    post = VariationalPosterior(np.zeros(model.dim), np.zeros((model.dim, model.dim)))
-    with pytest.raises(InvalidPosteriorError):
-        predictive_mc(post, model, np.linspace(-1.0, 1.0, 5))
-
-
-def test_predictive_rejects_bad_draw_count():
-    x, y, model = _small_blr(seed=4)
-    post = VariationalPosterior(np.zeros(model.dim), 0.1 * np.eye(model.dim))
-    with pytest.raises(ConfigError):
-        predictive_mc(post, model, np.zeros(3), n_draws=0)
-
-
-def test_predictive_is_deterministic_in_seed():
-    x, y, model = _small_blr(seed=5)
-    post = VariationalPosterior(np.zeros(model.dim), 0.1 * np.eye(model.dim))
-    grid = np.linspace(-2.0, 2.0, 5)
-    a = predictive_mc(post, model, grid, n_draws=50, seed=7)
-    b = predictive_mc(post, model, grid, n_draws=50, seed=7)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    probs = model.predict_batch(post.sample(64, np.random.default_rng(1)), x)
+    assert probs.shape == (64, 30, 2)
+    assert np.max(np.abs(probs.sum(axis=2) - 1.0)) < 1e-12
+    assert np.max(np.abs(probs.mean(axis=0).sum(axis=1) - 1.0)) < 1e-12
 
 
 # --------------------------------------------------------------------- metrics
 
 
+class _FixedPredictions:
+    """A model whose predictions are the same array under every draw."""
+
+    def __init__(self, predictions):
+        self._p = np.asarray(predictions, dtype=float)
+
+    def predict_batch(self, w_batch, inputs):
+        return np.broadcast_to(self._p, (len(w_batch),) + self._p.shape)
+
+
+_ONE_PARAMETER = VariationalPosterior(np.zeros(1), np.eye(1))
+
+
 def test_accuracy_values_and_tie_break():
-    probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
-    assert accuracy(probs, [0, 1, 0]) == 1.0
+    model = _FixedPredictions([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
+    inputs = np.zeros((3, 2))
+    assert mc_accuracy(_ONE_PARAMETER, model, inputs, [0, 1, 0]) == 1.0
     # Ties go to the lowest class index.
-    assert accuracy(probs, [0, 1, 1]) == pytest.approx(2.0 / 3.0)
+    assert mc_accuracy(_ONE_PARAMETER, model, inputs, [0, 1, 1]) == pytest.approx(2.0 / 3.0)
     with pytest.raises(DimensionError):
-        accuracy(probs, [0, 1])
-    with pytest.raises(DimensionError):
-        accuracy(np.zeros(3), [0, 1, 0])
+        mc_accuracy(_ONE_PARAMETER, model, inputs, [0, 1])
 
 
 def test_accuracy_random_guessing_level():
@@ -228,14 +218,20 @@ def test_accuracy_random_guessing_level():
     probs = rng.uniform(size=(10_000, 2))
     probs /= probs.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 2, 10_000)
-    assert abs(accuracy(probs, labels) - 0.5) < 0.02
+    score = mc_accuracy(_ONE_PARAMETER, _FixedPredictions(probs), probs, labels)
+    assert abs(score - 0.5) < 0.02
 
 
 def test_mse_values():
-    assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert mse([0.0, 4.0], [0.0, 0.0]) == 8.0
+    def score(predictions, targets):
+        model = _FixedPredictions(predictions)
+        rng = np.random.default_rng(0)
+        return _mean_draw_mse(_ONE_PARAMETER, model, np.zeros(2), targets, rng)
+
+    assert score([1.0, 2.0], [1.0, 2.0]) == 0.0
+    assert score([0.0, 4.0], [0.0, 0.0]) == 8.0
     with pytest.raises(DimensionError):
-        mse([1.0], [1.0, 2.0])
+        score([1.0, 2.0], [1.0])
 
 
 def test_reconstruction_error_values():

@@ -23,7 +23,7 @@ from fsvi import (
     spectrum_mse_benchmark,
     synth_image_data,
 )
-from fsvi.exceptions import ConfigError
+from fsvi.exceptions import ConfigError, DimensionError
 from fsvi.experiments import EXPERIMENT_KINDS
 from fsvi.models import (
     GaussianTarget,
@@ -159,6 +159,19 @@ def test_mc_accuracy_accepts_one_hot_labels():
     a = mc_accuracy(post, model, x, labels, seed=0)
     b = mc_accuracy(post, model, x, one_hot(labels, 2), seed=0)
     assert a == b
+
+
+def test_mc_accuracy_rejects_a_label_count_unlike_the_inputs():
+    x, labels = synth_classification_data(2, 30, seed=2)
+    design = RbfDesign.from_inputs(x, 2.0, n_centres=2)
+    model = LogisticModel(x, labels, design)
+    post = VariationalPosterior(np.zeros(model.dim), 0.5 * np.eye(model.dim))
+    from fsvi.models import one_hot
+
+    # One label would broadcast over every input, five would not fit.
+    for bad in (labels[:1], labels[:5], one_hot(labels[:29], 2)):
+        with pytest.raises(DimensionError, match="labels or targets"):
+            mc_accuracy(post, model, x, bad, seed=0)
 
 
 # ------------------------------------------------------------ pipeline files

@@ -199,6 +199,21 @@ def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
         load_posterior(str(path))
 
 
+def test_load_skips_a_leading_byte_order_mark(tmp_path):
+    post = random_posterior(9)
+    hyper = Hyperparameters(alpha=0.7, beta=3.5)
+    path = str(tmp_path / "post.txt")
+    save_posterior(post, hyper, path, seed=11)
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\ufeff" + text)
+    loaded, loaded_hyper, seed = load_posterior(path)
+    assert np.array_equal(loaded.mu, post.mu)
+    assert np.array_equal(loaded.L, post.L)
+    assert loaded_hyper == hyper and seed == 11
+
+
 _VALID_POSTERIOR_LINES = (
     "gaussian-posterior 1", "m 2", "seed 3", "alpha 1", "beta 2",
     "mu 0.5 -1", "L 1 0", "L 0.25 2",

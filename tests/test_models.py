@@ -28,14 +28,10 @@ from fsvi.models import (
     GaussianTarget,
     LogisticModel,
     RbfDesign,
+    SkewTarget,
     SoftmaxModel,
     SpectrumDecayModel,
-    cauchy_ppca_loglik,
-    logistic_loglik,
     one_hot,
-    rbf_regression_loglik,
-    skew_logdensity,
-    softmax_loglik,
     synth_classification_data,
     synth_regression_data,
     synth_spectrum_data,
@@ -43,6 +39,15 @@ from fsvi.models import (
 )
 from fsvi.models import cauchy_ppca
 from fsvi.models.base import TargetModel
+from references import (
+    cauchy_ppca_loglik,
+    gaussian_logdensity,
+    logistic_loglik,
+    rbf_regression_loglik,
+    skew_logdensity,
+    softmax_loglik,
+    spectrum_loglik,
+)
 
 _LN_2PI = np.log(2.0 * np.pi)
 
@@ -111,39 +116,38 @@ def test_noise_model_jacobians_match_finite_differences(model_zoo):
         assert rel_err(jac, fd) < 1e-5, f"{name}: jacobian off"
 
 
+# Each zoo model's reference likelihood at one parameter row, as
+# (value, gradient), from the model's data and the zoo's hyperparameters.
+_REFERENCES = {
+    "gaussian": lambda w, m, h: gaussian_logdensity(w, m.mean, m.cov),
+    "skew": lambda w, m, h: skew_logdensity(w, m.coeff),
+    "rbf-regression": lambda w, m, h: rbf_regression_loglik(
+        w, m.design_matrix, m.targets, h.beta
+    ),
+    "logistic": lambda w, m, h: logistic_loglik(w, m._phi, m._y),
+    "softmax": lambda w, m, h: softmax_loglik(w, m._phi, m._y),
+    "cauchy-ppca": lambda w, m, h: cauchy_ppca_loglik(
+        w.reshape(m.n_data, m.latent_dim), m.params.loading, m.params.offset,
+        m.params.scale, m.data,
+    )[:2],
+    "spectrum": lambda w, m, h: spectrum_loglik(
+        w, m._e, m._r, m._f, m.targets, h.beta
+    ),
+}
+
+
 def test_batch_pass_matches_reference_likelihoods(model_zoo):
-    # Per-point methods derive from the batched pass, so compare its rows
-    # with the independently coded module-level likelihoods.
+    # Compare the batched pass's rows with the references in
+    # tests/references.py, which are written from the models' formulas
+    # without any fsvi code.
     rng = np.random.default_rng(6)
     for name, model, hyper in model_zoo:
+        assert name in _REFERENCES, f"{name}: no reference likelihood"
         w = 0.3 * rng.standard_normal((5, model.dim))
         noise = (hyper.beta,) if hyper.beta is not None else ()
         values, grads = model.log_lik_and_grad_batch(w, *noise)
         for row, value, grad in zip(w, values, grads):
-            if name == "gaussian":
-                ref = multivariate_normal(model.mean, model.cov)
-                ref_value = ref.logpdf(row)
-                ref_grad = -np.linalg.solve(model.cov, row - model.mean)
-            elif name == "skew":
-                ref_value, ref_grad = skew_logdensity(row, model.coeff)
-            elif name == "rbf-regression":
-                ref_value, ref_grad = rbf_regression_loglik(
-                    row, model.design_matrix, model.targets, hyper.beta
-                )
-            elif name == "logistic":
-                ref_value, ref_grad = logistic_loglik(row, model._phi, model._y)
-            elif name == "softmax":
-                ref_value, ref_grad = softmax_loglik(row, model._phi, model._y)
-            elif name == "cauchy-ppca":
-                latents = row.reshape(model.n_data, model.latent_dim)
-                ref_value, ref_grad = cauchy_ppca_loglik(
-                    latents, model.params, model.data
-                )[:2]
-            elif name == "spectrum":
-                # No module-level reference; the Jacobian test above covers it.
-                continue
-            else:
-                raise AssertionError(f"{name}: no reference likelihood")
+            ref_value, ref_grad = _REFERENCES[name](row, model, hyper)
             assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value)), name
             assert rel_err(grad, np.ravel(ref_grad)) < 1e-12, name
 
@@ -282,16 +286,16 @@ def test_softmax_posterior_blocks():
 
 
 def test_cauchy_loglik_zero_residuals():
-    params = CauchyPpcaParams(np.zeros((3, 1)), np.zeros(3), 1.0)
-    value = cauchy_ppca_loglik(np.zeros((2, 1)), params, np.zeros((2, 3)))[0]
+    value = cauchy_ppca_loglik(
+        np.zeros((2, 1)), np.zeros((3, 1)), np.zeros(3), 1.0, np.zeros((2, 3))
+    )[0]
     assert abs(value - (-6.0 * np.log(np.pi))) < 1e-12
 
 
 def test_cauchy_loglik_residual_equal_to_scale():
     gamma = 0.7
-    params = CauchyPpcaParams(np.zeros((3, 1)), np.zeros(3), gamma)
     data = gamma * np.ones((2, 3))
-    value = cauchy_ppca_loglik(np.zeros((2, 1)), params, data)[0]
+    value = cauchy_ppca_loglik(np.zeros((2, 1)), np.zeros((3, 1)), np.zeros(3), gamma, data)[0]
     expected = 6.0 * (-np.log(np.pi) - np.log(gamma) - np.log(2.0))
     assert abs(value - expected) < 1e-12
 
@@ -304,36 +308,29 @@ def test_cauchy_gradients_match_finite_differences():
     gamma = 0.9
     data = rng.standard_normal((n, d))
     latents = rng.standard_normal((n, q))
-    params = CauchyPpcaParams(loading, offset, gamma)
 
-    _, g_x, g_w, g_xi, g_gamma = cauchy_ppca_loglik(latents, params, data)
+    _, g_x, g_w, g_xi, g_gamma = cauchy_ppca_loglik(latents, loading, offset, gamma, data)
 
     fd_x = fd_grad(
-        lambda v: cauchy_ppca_loglik(v.reshape(n, q), params, data)[0],
+        lambda v: cauchy_ppca_loglik(v.reshape(n, q), loading, offset, gamma, data)[0],
         latents.ravel(),
     ).reshape(n, q)
     assert rel_err(g_x, fd_x) < 1e-6
 
     fd_w = fd_grad(
-        lambda v: cauchy_ppca_loglik(
-            latents, CauchyPpcaParams(v.reshape(d, q), offset, gamma), data
-        )[0],
+        lambda v: cauchy_ppca_loglik(latents, v.reshape(d, q), offset, gamma, data)[0],
         loading.ravel(),
     ).reshape(d, q)
     assert rel_err(g_w, fd_w) < 1e-6
 
     fd_xi = fd_grad(
-        lambda v: cauchy_ppca_loglik(
-            latents, CauchyPpcaParams(loading, v, gamma), data
-        )[0],
+        lambda v: cauchy_ppca_loglik(latents, loading, v, gamma, data)[0],
         offset,
     )
     assert rel_err(g_xi, fd_xi) < 1e-6
 
     fd_gamma = fd_grad(
-        lambda v: cauchy_ppca_loglik(
-            latents, CauchyPpcaParams(loading, offset, float(v[0])), data
-        )[0],
+        lambda v: cauchy_ppca_loglik(latents, loading, offset, float(v[0]), data)[0],
         np.array([gamma]),
     )[0]
     assert abs(g_gamma - fd_gamma) / max(abs(fd_gamma), 1.0) < 1e-6
@@ -446,8 +443,11 @@ def test_cauchy_passes_match_per_draw_reference(s):
         return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
     for model in (built, built.with_model_params(theta)):
+        p = model.params
         refs = [
-            cauchy_ppca_loglik(row.reshape(model.n_data, -1), model.params, model.data)
+            cauchy_ppca_loglik(
+                row.reshape(model.n_data, -1), p.loading, p.offset, p.scale, model.data
+            )
             for row in w
         ]
         ref_values = np.array([r[0] for r in refs])
@@ -956,10 +956,10 @@ def test_cauchy_params_validation():
 
 
 def test_skew_input_validation():
-    with pytest.raises(DimensionError):
-        skew_logdensity(np.zeros(3), np.zeros(6))
-    with pytest.raises(DimensionError):
-        skew_logdensity(np.zeros(2), np.zeros(5))
+    with pytest.raises(DimensionError, match="coeff"):
+        SkewTarget(np.zeros(5))
+    with pytest.raises(DimensionError, match="coeff"):
+        SkewTarget(np.zeros((2, 6)))
 
 
 def test_synth_generator_validation():
