@@ -23,7 +23,7 @@ from .evaluate import (
     kld_numerical_2d,
     reconstruction_error,
 )
-from .exceptions import ConfigError, DataFormatError, DimensionError
+from .exceptions import ConfigError, DataFormatError, DimensionError, InvalidLabelError
 from .fit import _MIN_MONITOR_ITERS, FitConfig, fit, fit_steps, monitor_generalisation
 from .io import load_csv_dataset, save_posterior, write_csv
 from .models import (
@@ -40,6 +40,7 @@ from .models import (
     synth_regression_data,
     synth_spectrum_data,
 )
+from .models.classify import _validate_onehot
 from .posterior import Hyperparameters
 
 # The gray range corrupt_pixels draws replacement values from.
@@ -215,14 +216,19 @@ def _draw_predictions(post, model, inputs, targets, rng):
 def mc_accuracy(post, model, inputs, labels, seed=0):
     """Accuracy under each posterior parameter draw, averaged over draws.
 
-    Labels are integers; a one-hot matrix is converted first. Ties between
-    class probabilities resolve to the lowest class index. A label count
-    other than the input count raises DimensionError.
+    Labels are integers in [0, K) for K predicted classes; a one-hot matrix
+    is converted first. Ties between class probabilities resolve to the
+    lowest class index. A label count other than the input count raises
+    DimensionError; a label out of range or a row that is not one-hot
+    raises InvalidLabelError.
     """
     rng = np.random.default_rng(seed)
     probs, y = _draw_predictions(post, model, inputs, labels, rng)
     if y.ndim == 2:
-        y = np.argmax(y, axis=1)
+        y = np.argmax(_validate_onehot(y), axis=1)
+    k = probs.shape[2]
+    if y.size and (y.min() < 0 or y.max() >= k):
+        raise InvalidLabelError(f"labels must lie in [0, {k - 1}], found [{y.min()}, {y.max()}]")
     return float(np.mean(np.argmax(probs, axis=2) == y[None, :]))
 
 

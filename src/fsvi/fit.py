@@ -115,13 +115,30 @@ def _optimise(objective, x0, iters, start=None):
     ).x
 
 
-def _optimise_model_params(model, post, samples, iters):
-    w = post.transform(samples.draws)
+def _model_params_objective(model, w):
+    """The mean log-likelihood over draws w and its model_params gradient.
+
+    A trial that the model rejects as out of range (a Cauchy scale whose
+    exp underflows to zero) is a rejected step, as at the factor barrier:
+    it evaluates to (-inf, zero gradient) and its `grad` form to NaN.
+    """
+
+    def evaluate(theta, with_value):
+        try:
+            trial = model.with_model_params(theta)
+        except ConfigError:
+            return (-np.inf, np.zeros_like(theta)) if with_value else np.full_like(theta, np.nan)
+        return trial.model_params_value_and_grad(w) if with_value else trial.model_params_grad(w)
 
     def objective(theta):
-        return model.with_model_params(theta).model_params_value_and_grad(w)
+        return evaluate(theta, True)
 
-    objective.grad = lambda theta: model.with_model_params(theta).model_params_grad(w)
+    objective.grad = lambda theta: evaluate(theta, False)
+    return objective
+
+
+def _optimise_model_params(model, post, samples, iters):
+    objective = _model_params_objective(model, post.transform(samples.draws))
     return model.with_model_params(_optimise(objective, model.model_params, iters))
 
 

@@ -9,7 +9,6 @@ the same bound (the scale in log-space to stay positive).
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -73,49 +72,24 @@ def _draw_worker():
     return pool
 
 
-# Each thread's scratch slabs, kept between its passes. A slab of the
-# denoising size is large enough that freeing it returns it to the OS, so
-# a new one is faulted back in page by page on every pass. A thread holds
-# the most slabs any of its passes asked for, all of its latest pass's
-# shape. The worker's set is its own: it runs one pass's half at a time.
-_scratch = threading.local()
+def _over_draws(run, s, entries):
+    """Run `run(lo, hi)` over draws [0, s), in two fixed halves when it pays.
 
-
-def _thread_slabs(shape, n):
-    """n (N, d) scratch arrays of the calling thread; their contents are stale."""
-    slabs = getattr(_scratch, "slabs", [])
-    if slabs and slabs[0].shape != shape:
-        slabs = []
-    if len(slabs) < n:
-        slabs = slabs + [np.empty(shape) for _ in range(n - len(slabs))]
-        _scratch.slabs = slabs
-    return slabs[:n]
-
-
-def _run_in_slabs(run, lo, hi, slab, n_buffers):
-    run(lo, hi, *_thread_slabs(slab, n_buffers))
-
-
-def _over_draws(run, s, slab, n_buffers=2):
-    """Run `run(lo, hi, *buffers)` over draws [0, s), in two fixed halves when it pays.
-
-    Each call of `run` gets `n_buffers` arrays of shape `slab`, the scratch
-    slabs of the thread it runs on. With two usable CPUs, two or more
-    draws and a slab of at least `_SPLIT_MIN_ENTRIES` entries, the caller
-    runs draws [0, s // 2) while the worker thread runs [s // 2, s);
-    otherwise the caller runs them all. The halves depend on s alone, never
-    on timing, and each half must write only its own draws' outputs, so a
-    pass gives the same bits either way. The worker is always waited for,
-    whether the caller's half returns or raises; an error in either half
-    reaches the caller.
+    With two usable CPUs, two or more draws and one draw's slab of at
+    least `_SPLIT_MIN_ENTRIES` entries, the caller runs draws [0, s // 2)
+    while the worker thread runs [s // 2, s); otherwise the caller runs
+    them all. The halves depend on s alone, never on timing, and each half
+    must write only its own draws' outputs, so a pass gives the same bits
+    either way. The worker is always waited for, whether the caller's half
+    returns or raises; an error in either half reaches the caller.
     """
-    if s < 2 or np.prod(slab) < _SPLIT_MIN_ENTRIES or _usable_cpus() < 2:
-        _run_in_slabs(run, 0, s, slab, n_buffers)
+    if s < 2 or entries < _SPLIT_MIN_ENTRIES or _usable_cpus() < 2:
+        run(0, s)
         return
     h = s // 2
-    future = _draw_worker().submit(_run_in_slabs, run, h, s, slab, n_buffers)
+    future = _draw_worker().submit(run, h, s)
     try:
-        _run_in_slabs(run, 0, h, slab, n_buffers)
+        run(0, h)
     finally:
         wait((future,))
     future.result()
@@ -175,10 +149,9 @@ class CauchyPpcaModel(TargetModel):
     def _draw_stats(self, x_s, u, denom):
         """Fill u = (y - xi) / gamma - x_s (W^T / gamma) and denom = 1 + u^2.
 
-        u and denom are (N, d) buffers owned by the caller: each pass takes
-        them from `_over_draws`, which hands out the scratch slabs of the
-        thread the draws run on, and reuses them across its draws, so one
-        draw's consumer may overwrite them but must copy anything it keeps.
+        u and denom are (N, d) buffers that each half of a pass allocates
+        as separate arrays (one block read a higher denoising peak RSS) and
+        reuses across its draws: a draw must copy what it keeps of them.
         """
         np.matmul(x_s, self._loading_t, out=u)
         np.subtract(self._centred, u, out=u)
@@ -202,12 +175,13 @@ class CauchyPpcaModel(TargetModel):
         x = self._latents(w_batch)
         values = np.empty(len(x))
 
-        def run(lo, hi, u, denom):
+        def run(lo, hi):
+            u, denom = (np.empty_like(self._y) for _ in range(2))
             for i in range(lo, hi):
                 self._draw_stats(x[i], u, denom)
                 values[i] = self._value(denom)
 
-        _over_draws(run, len(x), self._y.shape)
+        _over_draws(run, len(x), self._y.size)
         return values
 
     def _latent_pass(self, w_batch, with_value):
@@ -217,14 +191,15 @@ class CauchyPpcaModel(TargetModel):
         values = np.empty(s)
         grads = np.empty((s, self.n_data, self.latent_dim))
 
-        def run(lo, hi, u, denom):
+        def run(lo, hi):
+            u, denom = (np.empty_like(self._y) for _ in range(2))
             for i in range(lo, hi):
                 self._draw_stats(x[i], u, denom)
                 t = np.divide(u, denom, out=u)
                 np.matmul(t, self.params.loading, out=grads[i])
                 values[i] = self._value(denom, with_value)
 
-        _over_draws(run, s, self._y.shape)
+        _over_draws(run, s, self._y.size)
         grads *= 2.0 / self.params.scale
         return values, grads.reshape(s, -1)
 
@@ -269,7 +244,8 @@ class CauchyPpcaModel(TargetModel):
         # own, in draw order, so the sums are the one-thread sums.
         later = []
 
-        def run(lo, hi, u, denom, r):
+        def run(lo, hi):
+            u, denom, r = (np.empty_like(self._y) for _ in range(3))
             for i in range(lo, hi):
                 self._draw_stats(x[i], u, denom)
                 np.divide(1.0, denom, out=r)
@@ -287,7 +263,7 @@ class CauchyPpcaModel(TargetModel):
                 else:
                     add(*terms)
 
-        _over_draws(run, s, self._y.shape, n_buffers=3)
+        _over_draws(run, s, self._y.size)
         for terms in later:
             add(*terms)
         value = float(np.mean(values))

@@ -23,7 +23,7 @@ from fsvi import (
     spectrum_mse_benchmark,
     synth_image_data,
 )
-from fsvi.exceptions import ConfigError, DimensionError
+from fsvi.exceptions import ConfigError, DimensionError, InvalidLabelError
 from fsvi.experiments import EXPERIMENT_KINDS
 from fsvi.models import (
     GaussianTarget,
@@ -171,6 +171,22 @@ def test_mc_accuracy_rejects_a_label_count_unlike_the_inputs():
     # One label would broadcast over every input, five would not fit.
     for bad in (labels[:1], labels[:5], one_hot(labels[:29], 2)):
         with pytest.raises(DimensionError, match="labels or targets"):
+            mc_accuracy(post, model, x, bad, seed=0)
+
+
+def test_mc_accuracy_rejects_labels_outside_the_predicted_classes():
+    x, labels = synth_classification_data(2, 30, seed=2)
+    design = RbfDesign.from_inputs(x, 2.0, n_centres=2)
+    model = LogisticModel(x, labels, design)
+    post = VariationalPosterior(np.zeros(model.dim), 0.5 * np.eye(model.dim))
+    from fsvi.models import one_hot
+
+    # Labels past the two classes, a negative label, a third one-hot
+    # column in use, and rows that are not one-hot.
+    three = one_hot(labels, 3)
+    three[0] = [0.0, 0.0, 1.0]
+    for bad in (labels + 5, labels - 1, three, np.zeros((30, 2)), 0.5 * one_hot(labels, 2)):
+        with pytest.raises(InvalidLabelError):
             mc_accuracy(post, model, x, bad, seed=0)
 
 

@@ -406,3 +406,20 @@ def test_cauchy_fit_probes_form_no_values_and_reuses_its_bound(monkeypatch):
         report.model, report.posterior, report.hyper, report.samples
     )
 
+
+def test_model_params_trial_whose_scale_underflows_is_a_rejected_step():
+    # exp(-800) is 0.0, a scale the model rejects; as a trial point of the
+    # model-parameter block it is a rejected step, as at the factor barrier.
+    clean, _, _ = synth_image_data(6, seed=0, shape=(4, 5), latent_dim=2)
+    report, _ = fit_cauchy_ppca(clean, 2, FitConfig(n_samples=4, max_iter=1), seed=0)
+    model = report.model
+    w = report.posterior.transform(report.samples.draws)
+    objective = fit_module._model_params_objective(model, w)
+    theta = model.model_params
+    assert np.isfinite(objective(theta)[0])
+    theta[-1] = -800.0
+    with pytest.raises(ConfigError, match="scale must be positive"):
+        model.with_model_params(theta)
+    value, grad = objective(theta)
+    assert value == -np.inf and np.array_equal(grad, np.zeros_like(theta))
+    assert np.isnan(objective.grad(theta)).all()

@@ -474,10 +474,9 @@ def test_cauchy_passes_match_per_draw_reference(s):
 
 
 def test_cauchy_passes_return_fresh_arrays(monkeypatch):
-    # The per-draw buffers are reused inside a call and kept by each thread
-    # between calls; none may leak out, so later passes on the same threads
-    # leave an earlier pass's outputs as they were. The small model runs on
-    # the calling thread, the large one splits its draws.
+    # The per-draw buffers are reused inside a call; none may leak out, so
+    # later passes leave an earlier pass's outputs as they were. The small
+    # model runs on the calling thread, the large one splits its draws.
     large, rng = _split_case(monkeypatch)
     small, _ = _cauchy_case()
     for model in (small, large):
@@ -596,9 +595,7 @@ def test_cauchy_split_pass_survives_fork_and_errors(monkeypatch):
     assert cauchy_ppca._worker[0] == os.getpid()
 
     # A forked child does not inherit the parent's worker thread: it makes
-    # its own and gives the parent's bits. Its calling thread starts from
-    # the scratch slabs the parent's passes left, and passes that use two
-    # and three of them give the parent's bits too.
+    # its own and gives the parent's bits.
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
 
@@ -645,33 +642,36 @@ def test_cauchy_split_pass_survives_fork_and_errors(monkeypatch):
         assert _bits(model.log_lik_and_grad_batch(w)) == expected
 
 
-def test_cauchy_threads_keep_at_most_three_slabs_of_the_latest_shape(monkeypatch):
-    # Each thread keeps the scratch slabs of its passes: as many as one pass
-    # asked for, at most three, all of the shape of its latest pass. The
-    # worker keeps its own set, of the shape of the latest split pass.
-    big, rng = _split_case(monkeypatch)
-    small, _ = _cauchy_case()
+def test_cauchy_passes_hold_no_slab_after_they_return(monkeypatch):
+    # Each half of a pass allocates its buffers and drops them when it
+    # returns, so neither the calling thread nor the worker keeps a slab
+    # between passes. A fresh thread has no buffers from earlier passes.
+    model, rng = _split_case(monkeypatch)
+    w = rng.standard_normal((4, model.dim))
+    splits = _count_splits(monkeypatch)
     held = {}
 
-    def shapes():
-        return [a.shape for a in getattr(cauchy_ppca._scratch, "slabs", [])]
-
     def caller():
-        for model in (big, small):
-            w = rng.standard_normal((20, model.dim))
-            for pass_ in _cauchy_passes(model).values():
-                pass_(w)
-            worker = cauchy_ppca._draw_worker().submit(shapes).result()
-            held[model.data.shape] = shapes(), worker
+        for cpus in (2, 1):
+            monkeypatch.setattr(cauchy_ppca, "_usable_cpus", lambda: cpus)
+            for name, pass_ in _cauchy_passes(model).items():
+                tracemalloc.start()
+                try:
+                    out = pass_(w)
+                    current = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                parts = out if isinstance(out, tuple) else (out,)
+                held[cpus, name] = current - sum(np.asarray(p).nbytes for p in parts)
 
     thread = threading.Thread(target=caller)
     thread.start()
     thread.join(60)
-    assert not thread.is_alive()
-    assert held == {
-        big.data.shape: ([big.data.shape] * 3, [big.data.shape] * 3),
-        small.data.shape: ([small.data.shape] * 3, [big.data.shape] * 3),
-    }
+    assert not thread.is_alive() and len(held) == 10
+    assert len(splits) == 5
+    slab = model.data.nbytes
+    for key, extra in held.items():
+        assert extra < slab, f"{key}: {extra} bytes held, slab {slab}"
 
 
 def test_cauchy_split_passes_from_many_threads_keep_their_bits(monkeypatch):
